@@ -9,7 +9,6 @@
 //!                    [--spec "tables=2 joins=1; use GROUP BY"]... [--seed S]
 //!                    [--threads N] [--bo-rounds-concurrency K]
 //!                    [--transport-faults R] [--retry-budget N]
-//!                    [--no-prepared] [--no-columnar]
 //!                    [--no-circuit-breaker] [--out PREFIX]
 //!                    [--amplify N] [--amplify-shards K] [--amplify-batch N]
 //!                    [--amplify-out PATH]
@@ -79,12 +78,6 @@ GENERATE OPTIONS:
   --spec \"...\"            declarative template spec, repeatable;
                           e.g. \"tables=2 joins=1; use GROUP BY\"
                           (default: the 24 Redset template profiles)
-  --no-prepared           disable the prepared-plan fast path (plan every
-                          probe from scratch; output is bit-identical)
-  --no-columnar           disable the columnar batch fast path — recost
-                          and vectorized-execution alike (cost each probe
-                          one at a time; output and oracle stats are
-                          bit-identical)
   --bo-rounds-concurrency K
                           pin the deficit scheduler to K concurrent
                           (interval, template) searches per round; 0 lets
@@ -150,7 +143,7 @@ impl Flags {
                 return Err(format!("unexpected argument `{flag}`"));
             }
             let arity = match flag.as_str() {
-                "--analyze" | "--no-prepared" | "--no-columnar" | "--no-circuit-breaker" => 0,
+                "--analyze" | "--no-circuit-breaker" => 0,
                 "--range" => 2,
                 _ => 1,
             };
@@ -433,8 +426,6 @@ fn generate(args: &[String]) -> i32 {
         cost_type
     );
     let threads: usize = try_flag!(flags.parsed("--threads", 0));
-    let use_prepared = !flags.has("--no-prepared");
-    let use_columnar = !flags.has("--no-columnar");
     let mut retry = llm::RetryPolicy::default();
     if let Some(budget) = try_flag!(flags.parsed_opt("--retry-budget")) {
         retry.retry_budget = budget;
@@ -447,8 +438,6 @@ fn generate(args: &[String]) -> i32 {
     let mut config = SqlBarberConfig {
         seed,
         threads,
-        use_prepared,
-        use_columnar,
         transport: llm::TransportFaultConfig::uniform(fault_rate),
         retry,
         ..Default::default()

@@ -7,7 +7,7 @@
 //! optimizer (§5.3's history reuse).
 
 use crate::cost::CostType;
-use crate::oracle::CostOracle;
+use crate::oracle::{ColumnarScratch, CostOracle};
 use crate::sampler::PlaceholderSpace;
 use bayesopt::parallel::{parallel_map, split_seed};
 use bayesopt::{latin_hypercube, Evaluation};
@@ -123,7 +123,10 @@ impl ProfiledTemplate {
 
 /// Profile one template with `n_samples` LHS-sampled instantiations.
 /// Costing goes through the oracle's memo cache; a cache hit still counts
-/// toward `consumed` (the probe was logically spent).
+/// toward `consumed` (the probe was logically spent). All points are
+/// costed in one oracle call on a single worker — [`profile_batch`]
+/// already fans templates out across the thread budget. A template the
+/// planner rejects spends its points without observing a cost.
 pub fn profile_template(
     oracle: &CostOracle,
     template: Template,
@@ -142,24 +145,17 @@ pub fn profile_template(
     // A ground template has exactly one instantiation.
     let n = if profiled.space.arity() == 0 { 1 } else { n_samples.max(1) };
     let points = latin_hypercube(n, profiled.space.arity(), rng);
-    // Plan the template once and recost per point; templates the planner
-    // rejects outright fall back to per-point instantiation (keeping the
-    // old skip-on-error behavior).
-    let prepared = oracle.prepare(&profiled.template).ok();
-    for point in points {
-        profiled.consumed += 1.0;
-        let bindings = profiled.space.decode(&point);
-        let cost = match &prepared {
-            Some(handle) => oracle.cost_prepared(handle, &bindings, cost_type),
-            None => {
-                let Ok(query) = profiled.template.instantiate(&bindings) else { continue };
-                oracle.query_cost(&query, cost_type)
+    profiled.consumed = points.len() as f64;
+    let Ok(handle) = oracle.prepare(&profiled.template) else { return profiled };
+    let bindings: Vec<_> = points.iter().map(|point| profiled.space.decode(point)).collect();
+    let mut scratch = ColumnarScratch::new();
+    let costs = oracle.cost(1, &handle, &bindings, cost_type, &mut scratch);
+    for (point, cost) in points.into_iter().zip(costs) {
+        if let &Ok(cost) = cost {
+            if cost.is_finite() {
+                profiled.costs.push(cost);
+                profiled.evaluations.push(Evaluation { point, value: cost });
             }
-        };
-        let Ok(cost) = cost else { continue };
-        if cost.is_finite() {
-            profiled.costs.push(cost);
-            profiled.evaluations.push(Evaluation { point, value: cost });
         }
     }
     profiled
@@ -216,6 +212,31 @@ mod tests {
         assert_eq!(profiled.costs.len(), 20);
         assert!(profiled.variety() > 0.5, "variety {}", profiled.variety());
         assert_eq!(profiled.consumed, 20.0);
+    }
+
+    #[test]
+    fn profiled_costs_equal_per_point_query_cost() {
+        let db = tpch();
+        let template = parse_template(
+            "SELECT o.o_orderkey FROM orders AS o, customer AS c \
+             WHERE o.o_custkey = c.c_custkey AND o.o_totalprice > {p_1} \
+             AND c.c_acctbal < {p_2}",
+        )
+        .unwrap();
+        for cost_type in [CostType::Cardinality, CostType::PlanCost, CostType::ActualCardinality] {
+            let oracle = CostOracle::new(&db, 1);
+            let mut rng = StdRng::seed_from_u64(5);
+            let profiled =
+                profile_template(&oracle, template.clone(), cost_type, 16, &mut rng);
+            assert_eq!(profiled.evaluations.len(), 16, "{cost_type:?}");
+            for (evaluation, &cost) in profiled.evaluations.iter().zip(&profiled.costs) {
+                let query =
+                    template.instantiate(&profiled.space.decode(&evaluation.point)).unwrap();
+                let expected = crate::cost::query_cost(&db, &query, cost_type).unwrap();
+                assert_eq!(evaluation.value.to_bits(), expected.to_bits(), "{cost_type:?}");
+                assert_eq!(cost.to_bits(), expected.to_bits(), "{cost_type:?}");
+            }
+        }
     }
 
     #[test]

@@ -178,13 +178,6 @@ impl GenerationReport {
     /// near-zero-misses claim, printed even when it is 0).
     pub fn amplify_summary(&self) -> Option<String> {
         let a = self.amplify.as_ref()?;
-        if a.unsupported_cost_type {
-            return Some(
-                "amplify: skipped (cost type requires execution; amplification \
-                 replays optimizer estimates)"
-                    .to_string(),
-            );
-        }
         let mut line = format!(
             "amplify: {} / {} queries ({:.1}% accept rate over {} candidates, \
              {} pairs), W1 {:.1}, {} oracle misses ({:.4}/query)",
@@ -345,16 +338,6 @@ mod tests {
         assert!(text.contains("0 oracle misses (0.0000/query)"), "{text}");
         assert!(text.contains("10 short"), "{text}");
         assert!(!text.contains("unserved"), "no unserved intervals listed");
-
-        let skipped = GenerationReport {
-            amplify: Some(AmplifyStats {
-                unsupported_cost_type: true,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let text = skipped.amplify_summary().unwrap();
-        assert!(text.contains("skipped"), "{text}");
     }
 
     #[test]
@@ -514,7 +497,6 @@ impl GenerationReport {
                         "wasserstein": a.wasserstein,
                         "oracle_misses": a.oracle_misses,
                         "accept_rate": a.accept_rate(),
-                        "unsupported_cost_type": a.unsupported_cost_type,
                     }),
                 ));
             }

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"SQBS";
 /// Codec version; bumped on any layout change.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Header length in bytes: magic + version + payload_len + crc32.
 pub const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 /// Maximum model-stack nesting the decoder accepts (the pipeline stacks
@@ -284,19 +284,6 @@ pub enum ValueKeySnap {
     Null,
 }
 
-/// One rendered-text memo entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TextEntry {
-    /// Cost metric of the probe.
-    pub cost_type: CostType,
-    /// Rendered statement text.
-    pub sql: String,
-    /// Memoized result.
-    pub value: Result<f64, DbError>,
-    /// Second-chance reference bit.
-    pub referenced: bool,
-}
-
 /// One prepared-probe memo entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedEntry {
@@ -332,10 +319,6 @@ pub struct OracleCounters {
     pub logical: u64,
     /// Unmemoized (execution-time) probes.
     pub unmemoized: u64,
-    /// Prepared-path logical probes.
-    pub prepared_logical: u64,
-    /// Prepared-path unmemoized probes.
-    pub prepared_unmemoized: u64,
     /// Scheduler rounds.
     pub scheduler_rounds: u64,
     /// Scheduler tasks.
@@ -356,8 +339,6 @@ pub struct OracleState {
     /// Prepared-template registry; index = template id, value = SQL
     /// (plans are rebuilt by re-preparing on resume).
     pub templates: Vec<String>,
-    /// Rendered-text memo shards, by shard index.
-    pub text_shards: Vec<ShardState<TextEntry>>,
     /// Prepared-probe memo shards, by shard index.
     pub prepared_shards: Vec<ShardState<PreparedEntry>>,
     /// Raw atomic counters.
@@ -989,18 +970,6 @@ fn dec_acc(dec: &mut Dec) -> Result<ReportAcc, SnapshotError> {
 fn enc_oracle(enc: &mut Enc, oracle: &OracleState) {
     enc_str_vec(enc, &oracle.interner);
     enc_str_vec(enc, &oracle.templates);
-    enc.usize(oracle.text_shards.len());
-    for shard in &oracle.text_shards {
-        enc.u64(shard.capacity);
-        enc.u64(shard.evicted);
-        enc.usize(shard.entries.len());
-        for entry in &shard.entries {
-            enc_cost_type(enc, entry.cost_type);
-            enc.str(&entry.sql);
-            enc_cost_result(enc, &entry.value);
-            enc.bool(entry.referenced);
-        }
-    }
     enc.usize(oracle.prepared_shards.len());
     for shard in &oracle.prepared_shards {
         enc.u64(shard.capacity);
@@ -1021,8 +990,6 @@ fn enc_oracle(enc: &mut Enc, oracle: &OracleState) {
     for v in [
         c.logical,
         c.unmemoized,
-        c.prepared_logical,
-        c.prepared_unmemoized,
         c.scheduler_rounds,
         c.scheduler_tasks,
         c.scheduler_peak_tasks,
@@ -1035,21 +1002,6 @@ fn enc_oracle(enc: &mut Enc, oracle: &OracleState) {
 fn dec_oracle(dec: &mut Dec) -> Result<OracleState, SnapshotError> {
     let interner = dec_str_vec(dec)?;
     let templates = dec_str_vec(dec)?;
-    let n = dec.len(16)?;
-    let mut text_shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        let capacity = dec.u64()?;
-        let evicted = dec.u64()?;
-        let m = dec.len(8)?;
-        let mut entries = Vec::with_capacity(m);
-        for _ in 0..m {
-            let cost_type = dec_cost_type(dec)?;
-            let sql = dec.str()?;
-            let value = dec_cost_result(dec)?;
-            entries.push(TextEntry { cost_type, sql, value, referenced: dec.bool()? });
-        }
-        text_shards.push(ShardState { capacity, evicted, entries });
-    }
     let n = dec.len(16)?;
     let mut prepared_shards = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1079,14 +1031,12 @@ fn dec_oracle(dec: &mut Dec) -> Result<OracleState, SnapshotError> {
     let counters = OracleCounters {
         logical: dec.u64()?,
         unmemoized: dec.u64()?,
-        prepared_logical: dec.u64()?,
-        prepared_unmemoized: dec.u64()?,
         scheduler_rounds: dec.u64()?,
         scheduler_tasks: dec.u64()?,
         scheduler_peak_tasks: dec.u64()?,
         scheduler_overadmissions: dec.u64()?,
     };
-    Ok(OracleState { interner, templates, text_shards, prepared_shards, counters })
+    Ok(OracleState { interner, templates, prepared_shards, counters })
 }
 
 impl Snapshot {
@@ -1347,16 +1297,6 @@ mod tests {
             oracle: Some(OracleState {
                 interner: vec!["BRAZIL".into(), "ASIA".into()],
                 templates: vec!["SELECT 1".into()],
-                text_shards: vec![ShardState {
-                    capacity: 65_536,
-                    evicted: 1,
-                    entries: vec![TextEntry {
-                        cost_type: CostType::Cardinality,
-                        sql: "SELECT 1".into(),
-                        value: Err(DbError::UnknownTable("foo".into())),
-                        referenced: true,
-                    }],
-                }],
                 prepared_shards: vec![ShardState {
                     capacity: 4,
                     evicted: 0,
@@ -1373,11 +1313,17 @@ mod tests {
                         ],
                         value: Ok(42.5),
                         referenced: false,
+                    }, PreparedEntry {
+                        template_id: 0,
+                        cost_type: CostType::Cardinality,
+                        key: vec![None],
+                        value: Err(DbError::UnknownTable("foo".into())),
+                        referenced: true,
                     }],
                 }],
                 counters: OracleCounters {
                     logical: 1000,
-                    prepared_logical: 900,
+                    unmemoized: 900,
                     scheduler_rounds: 12,
                     ..Default::default()
                 },
@@ -1447,6 +1393,10 @@ mod tests {
         let mut bytes = sample_snapshot().encode();
         bytes[5] = 9;
         assert!(matches!(Snapshot::decode(&bytes), Err(SnapshotError::BadVersion(_))));
+        // Version 1 snapshots carried a rendered-text memo this build no
+        // longer has; they are refused, not misread.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadVersion(1)));
         bytes[0] = b'X';
         assert!(matches!(Snapshot::decode(&bytes), Err(SnapshotError::BadMagic)));
         assert!(matches!(Snapshot::decode(b""), Err(SnapshotError::Truncated)));

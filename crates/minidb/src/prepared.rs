@@ -420,7 +420,8 @@ impl PreparedTemplate {
 
     /// Batch recost: `(estimated_rows, total_cost)` per batch row,
     /// bit-identical to calling [`PreparedTemplate::recost`] on each row
-    /// in isolation (debug-asserted). The binding-invariant skeleton walk
+    /// in isolation, and so to `db.explain` of the instantiated row (which
+    /// debug builds assert per row). The binding-invariant skeleton walk
     /// is hoisted out of the loop: each placeholder-bearing predicate is
     /// classified once per template, its per-row selectivities are
     /// computed as a tight columnar loop over the batch's value columns,
@@ -461,28 +462,29 @@ impl PreparedTemplate {
             self.body.recost_batch(db, batch, scratch);
         }
 
-        // Ground truth cross-check: every row must match the scalar
-        // replay bit-for-bit (which itself cross-checks `db.explain`).
+        // Ground truth cross-check: every row must match the from-scratch
+        // planner bit-for-bit, exactly like `recost`. Rows whose
+        // instantiation fails to validate (type-incompatible bindings)
+        // are outside the contract and skipped.
         #[cfg(debug_assertions)]
         {
             let mut map = HashMap::new();
             for row in 0..batch.len() {
                 batch.fill_row_map(row, &mut map);
-                let bound = BoundRow::collect(&self.placeholder_ids, &map)
-                    .expect("batch columns validated above");
-                let (rows_scalar, cost_scalar) = self.body.recost(db, &bound);
-                let (rows_batch, cost_batch) = scratch.results[row];
+                let Ok(query) = self.template.instantiate(&map) else { continue };
+                let Ok(explain) = db.explain(&query) else { continue };
+                let (rows, cost) = scratch.results[row];
                 debug_assert_eq!(
-                    rows_batch.to_bits(),
-                    rows_scalar.to_bits(),
-                    "batch recost rows diverged from scalar at row {row}: \
-                     {rows_batch} vs {rows_scalar}",
+                    rows.to_bits(),
+                    explain.estimated_rows.to_bits(),
+                    "batch recost rows diverged from planner at row {row}: {rows} vs {} for {query}",
+                    explain.estimated_rows
                 );
                 debug_assert_eq!(
-                    cost_batch.to_bits(),
-                    cost_scalar.to_bits(),
-                    "batch recost cost diverged from scalar at row {row}: \
-                     {cost_batch} vs {cost_scalar}",
+                    cost.to_bits(),
+                    explain.total_cost.to_bits(),
+                    "batch recost cost diverged from planner at row {row}: {cost} vs {} for {query}",
+                    explain.total_cost
                 );
             }
         }

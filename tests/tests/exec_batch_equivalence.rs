@@ -3,16 +3,18 @@
 //! empty/inverted BETWEEN intervals, duplicate rows — the batch executor
 //! [`PreparedExec::execute_batch`] must return exactly, bit for bit, the
 //! `(cardinality, work_micros)` pairs that per-row instantiate-and-
-//! `Database::execute` produces, and the oracle's columnar dispatch for
-//! execution-based cost types must match the per-probe path in results
-//! *and* in memo accounting, even under capacity-2 eviction pressure.
+//! `Database::execute` produces, and the oracle's `cost` for
+//! execution-based cost types must match per-probe `query_cost` in
+//! results and count one physical evaluation per distinct (memoized) or
+//! every (unmemoized) probe, even under capacity-2 eviction pressure.
 
 use minidb::{BindingBatch, Database, DbError, ExecScratch, PreparedExec};
 use proptest::prelude::*;
+use sqlbarber::cost::query_cost;
 use sqlbarber::oracle::{ColumnarScratch, CostOracle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 fn db() -> &'static Database {
@@ -183,11 +185,11 @@ proptest! {
         }
     }
 
-    /// Oracle-level contract for execution-based cost types: the
-    /// columnar dispatch (`cost_prepared_batch_columnar` →
-    /// `execute_batch`) returns the same bits and the same
-    /// hit/eval/eviction accounting as the per-probe path, across
-    /// thread counts and under capacity-2 memo eviction pressure.
+    /// Oracle-level contract for execution-based cost types: `cost`
+    /// (dispatching to `execute_batch`) returns, per row, the same bits
+    /// as the from-scratch `query_cost` of the instantiated statement,
+    /// with exact hit/eval accounting, across thread counts and under
+    /// capacity-2 memo eviction pressure.
     #[test]
     fn oracle_columnar_execution_matches_per_probe(
         skeleton_idx in 0usize..SKELETONS.len(),
@@ -210,38 +212,42 @@ proptest! {
         batch.push(batch[0].clone()); // in-batch duplicate: memo-hit dedup
 
         let capacity = if squeeze_cache { 2 } else { 1024 };
-        let per_probe = {
-            let oracle = CostOracle::new(db, threads).with_cache_capacity(capacity);
-            let handle = oracle.prepare(&template).expect("prepare");
-            let results = oracle.cost_prepared_batch(&handle, &batch, cost_type);
-            (results, oracle.stats())
-        };
-        let columnar = {
-            let oracle = CostOracle::new(db, threads).with_cache_capacity(capacity);
-            let handle = oracle.prepare(&template).expect("prepare");
-            let mut scratch = ColumnarScratch::new();
-            let results = oracle
-                .cost_prepared_batch_columnar(&handle, &batch, cost_type, &mut scratch)
-                .to_vec();
-            (results, oracle.stats())
-        };
+        let oracle = CostOracle::new(db, threads).with_cache_capacity(capacity);
+        let handle = oracle.prepare(&template).expect("prepare");
+        let mut scratch = ColumnarScratch::new();
+        let results = oracle.cost(threads, &handle, &batch, cost_type, &mut scratch);
 
-        prop_assert_eq!(per_probe.0.len(), columnar.0.len());
-        for (a, b) in per_probe.0.iter().zip(columnar.0.iter()) {
-            match (a, b) {
-                (Ok(x), Ok(y)) => prop_assert_eq!(
-                    x.to_bits(), y.to_bits(), "{} vs {}", x, y
-                ),
-                (Err(x), Err(y)) => {
-                    prop_assert_eq!(format!("{x:?}"), format!("{y:?}"))
-                }
-                _ => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", a, b),
+        prop_assert_eq!(results.len(), batch.len());
+        for (bindings, got) in batch.iter().zip(results) {
+            let query = template.instantiate(bindings).expect("rows bind every placeholder");
+            match (query_cost(db, &query, cost_type), got) {
+                (Ok(x), Ok(y)) => prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y),
+                (Err(x), Err(y)) => prop_assert_eq!(&x, y),
+                (want, got) => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", want, got),
             }
         }
-        prop_assert_eq!(per_probe.1, columnar.1, "oracle accounting diverged");
+        let n = batch.len() as u64;
+        let evals = if cost_type == CostType::ExecutionTimeMicros {
+            n
+        } else {
+            batch
+                .iter()
+                .map(|row| {
+                    let mut key: Vec<(u32, String)> =
+                        row.iter().map(|(id, v)| (*id, format!("{v:?}"))).collect();
+                    key.sort();
+                    key
+                })
+                .collect::<HashSet<_>>()
+                .len() as u64
+        };
+        let stats = oracle.stats();
+        prop_assert_eq!(stats.logical_probes, n);
+        prop_assert_eq!(stats.physical_evals, evals);
+        prop_assert_eq!(stats.prepared_hits, n - evals);
     }
 
-    /// Thread-count invariance: the columnar execution dispatch returns
+    /// Thread-count invariance: `cost` on execution-based cost types returns
     /// identical bits and identical stats at 1, 2, and 8 threads.
     #[test]
     fn oracle_columnar_execution_is_thread_invariant(
@@ -266,11 +272,8 @@ proptest! {
                 let oracle = CostOracle::new(db, threads).with_cache_capacity(2);
                 let handle = oracle.prepare(&template).expect("prepare");
                 let mut scratch = ColumnarScratch::new();
-                let results = oracle
-                    .cost_prepared_batch_columnar(
-                        &handle, &batch, cost_type, &mut scratch,
-                    )
-                    .to_vec();
+                let results =
+                    oracle.cost(threads, &handle, &batch, cost_type, &mut scratch).to_vec();
                 (results, oracle.stats())
             })
             .collect();

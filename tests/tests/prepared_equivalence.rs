@@ -7,10 +7,11 @@
 
 use minidb::{BindingBatch, Database, PreparedTemplate, RecostScratch};
 use proptest::prelude::*;
+use sqlbarber::cost::query_cost;
 use sqlbarber::oracle::{ColumnarScratch, CostOracle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 fn db() -> &'static Database {
@@ -199,9 +200,10 @@ proptest! {
         }
     }
 
-    /// Oracle-level contract: `cost_prepared_batch_columnar` (shard-bulk
-    /// locking + columnar recost) returns the same bits and the same
-    /// hit/eval/eviction accounting as the per-probe batch path, for
+    /// Oracle-level contract: `CostOracle::cost` (shard-bulk locking +
+    /// columnar recost) returns, per row, the same bits as the
+    /// from-scratch `query_cost` of the instantiated statement, and
+    /// counts exactly one physical evaluation per distinct binding, for
     /// batches whose binding keys span multiple memo shards.
     #[test]
     fn oracle_columnar_batch_matches_per_probe_batch(
@@ -211,6 +213,7 @@ proptest! {
             1..9,
         ),
         threads in prop::sample::select(vec![1usize, 2, 8]),
+        cost_type in prop::sample::select(vec![CostType::Cardinality, CostType::PlanCost]),
     ) {
         let db = db();
         let (sql, kinds) = build_template(&SKELETONS[skeleton_idx], &[]);
@@ -230,30 +233,33 @@ proptest! {
             .collect();
         batch.push(batch[0].clone()); // force an in-batch memo-hit dedup
 
-        let per_probe = {
-            let oracle = CostOracle::new(db, threads);
-            let handle = oracle.prepare(&template).expect("prepare");
-            let results = oracle.cost_prepared_batch(&handle, &batch, CostType::PlanCost);
-            (results, oracle.stats())
-        };
-        let columnar = {
-            let oracle = CostOracle::new(db, threads);
-            let handle = oracle.prepare(&template).expect("prepare");
-            let mut scratch = ColumnarScratch::new();
-            let results = oracle
-                .cost_prepared_batch_columnar(&handle, &batch, CostType::PlanCost, &mut scratch)
-                .to_vec();
-            (results, oracle.stats())
-        };
+        let oracle = CostOracle::new(db, threads);
+        let handle = oracle.prepare(&template).expect("prepare");
+        let mut scratch = ColumnarScratch::new();
+        let results = oracle.cost(threads, &handle, &batch, cost_type, &mut scratch);
 
-        prop_assert_eq!(per_probe.0.len(), columnar.0.len());
-        for (a, b) in per_probe.0.iter().zip(columnar.0.iter()) {
-            match (a, b) {
+        prop_assert_eq!(results.len(), batch.len());
+        for (bindings, got) in batch.iter().zip(results) {
+            let query = template.instantiate(bindings).expect("rows bind every placeholder");
+            match (query_cost(db, &query, cost_type), got) {
                 (Ok(x), Ok(y)) => prop_assert_eq!(x.to_bits(), y.to_bits()),
-                (Err(x), Err(y)) => prop_assert_eq!(format!("{x:?}"), format!("{y:?}")),
-                _ => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", a, b),
+                (Err(x), Err(y)) => prop_assert_eq!(&x, y),
+                (want, got) => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", want, got),
             }
         }
-        prop_assert_eq!(per_probe.1, columnar.1, "oracle accounting diverged");
+        let distinct = batch
+            .iter()
+            .map(|row| {
+                let mut key: Vec<(u32, String)> =
+                    row.iter().map(|(id, v)| (*id, format!("{v:?}"))).collect();
+                key.sort();
+                key
+            })
+            .collect::<HashSet<_>>()
+            .len() as u64;
+        let stats = oracle.stats();
+        prop_assert_eq!(stats.logical_probes, batch.len() as u64);
+        prop_assert_eq!(stats.physical_evals, distinct);
+        prop_assert_eq!(stats.prepared_hits, batch.len() as u64 - distinct);
     }
 }
