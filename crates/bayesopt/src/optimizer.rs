@@ -148,10 +148,11 @@ impl Optimizer {
             }
         };
         if needs_refit {
-            let x: Vec<Vec<f64>> = self.history.iter().map(|e| e.point.clone()).collect();
-            let y: Vec<f64> = self.history.iter().map(|e| e.value).collect();
-            let forest = RandomForest::fit(
-                &x,
+            let history = &self.history;
+            let y: Vec<f64> = history.iter().map(|e| e.value).collect();
+            let forest = RandomForest::fit_rows(
+                history.len(),
+                |i| &history[i].point,
                 &y,
                 ForestConfig {
                     n_trees: self.config.n_trees,
@@ -235,8 +236,9 @@ impl Optimizer {
     }
 }
 
-/// Expected improvement of a candidate under the surrogate (minimization).
-fn expected_improvement(forest: &RandomForest, point: &[f64], best: f64) -> f64 {
+/// Expected improvement of a candidate under the surrogate (minimization):
+/// the acquisition `Optimizer::ask` maximizes over its candidates.
+pub fn expected_improvement(forest: &RandomForest, point: &[f64], best: f64) -> f64 {
     let (mean, sigma) = forest.predict(point);
     if sigma < 1e-12 {
         return (best - mean).max(0.0);

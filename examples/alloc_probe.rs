@@ -13,7 +13,10 @@
 //! executor (`PreparedExec::execute_batch`) warm path with a reused
 //! [`ExecScratch`], asserting 0.000 allocs/probe in release builds
 //! (debug builds run the per-row scalar cross-check, which allocates
-//! by design).
+//! by design); `--surrogate` measures the random-forest surrogate,
+//! asserting 0 allocations per warm `RandomForest::predict` and that
+//! `RandomForest::fit` allocates per tree and per feature, never per
+//! node.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -157,6 +160,10 @@ fn main() {
         }
     }
 
+    if args.iter().any(|a| a == "--surrogate") {
+        surrogate_probe();
+    }
+
     // `--amplify`: allocations per emitted query in the warm amplification
     // loop — one million queries drawn, recosted, rendered, and streamed
     // to a sink through per-batch scratch only. Numeric placeholders keep
@@ -219,4 +226,58 @@ fn main() {
         println!("allocs per warm amplified query ({emitted} emitted): {per:.3}");
         assert!(per < 0.0005, "warm amplification loop allocated {per:.5}/query");
     }
+}
+
+/// `--surrogate`: the BO surrogate's allocation profile. A warm
+/// `predict` (the EI scoring inner loop) must not allocate at all, and a
+/// single-threaded `fit` must allocate a fixed number of buffers per
+/// tree and per feature: the count may not move when more rows make the
+/// trees grow more nodes.
+fn surrogate_probe() {
+    use bayesopt::forest::{ForestConfig, RandomForest};
+    use rand::Rng;
+    let training_set = |n: usize, d: usize| {
+        let mut rng = StdRng::seed_from_u64(5);
+        let x: Vec<Vec<f64>> =
+            (0..n).map(|_| (0..d).map(|_| rng.gen::<f64>()).collect()).collect();
+        let y: Vec<f64> = x.iter().map(|p| (p.iter().sum::<f64>() * 7.0).sin()).collect();
+        (x, y)
+    };
+    let fit_allocs = |n: usize, d: usize, n_trees: usize| {
+        let (x, y) = training_set(n, d);
+        let config = ForestConfig { n_trees, threads: 1, ..ForestConfig::default() };
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let forest = RandomForest::fit(&x, &y, config);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        std::hint::black_box(forest);
+        allocs
+    };
+    let base = fit_allocs(50, 2, 25);
+    let more_rows = fit_allocs(400, 2, 25);
+    let more_trees = fit_allocs(50, 2, 50);
+    let more_features = fit_allocs(50, 4, 25);
+    println!(
+        "allocs per fit: 50 rows x 2 dims x 25 trees {base}, 400 rows {more_rows}, \
+         50 trees {more_trees}, 4 dims {more_features}"
+    );
+    assert_eq!(base, more_rows, "fit allocations grew with the node count");
+    assert!(more_trees > base, "fit allocations did not scale with trees");
+    // At most one buffer per added feature per tree, plus one per fit.
+    assert!(
+        more_features <= base + 2 * (25 + 1),
+        "fit allocations grew faster than per tree and feature"
+    );
+
+    let (x, y) = training_set(138, 2);
+    let forest = RandomForest::fit(&x, &y, ForestConfig::default());
+    let points: Vec<[f64; 2]> =
+        (0..1000).map(|i| [(i % 37) as f64 / 37.0, (i % 101) as f64 / 101.0]).collect();
+    std::hint::black_box(forest.predict(&points[0]));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for point in &points {
+        std::hint::black_box(forest.predict(point));
+    }
+    let per = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / points.len() as f64;
+    println!("allocs per warm surrogate predict ({} points): {per:.3}", points.len());
+    assert!(per == 0.0, "warm RandomForest::predict allocated {per:.3}/call");
 }

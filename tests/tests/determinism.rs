@@ -36,14 +36,23 @@ fn run(db: &minidb::Database, threads: usize) -> (GenerationReport, OracleStats)
     (report, stats)
 }
 
+/// Distinguishes the scratch files of tests running concurrently in this
+/// process.
+static SCRATCH_FILES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// A temp-dir path no other test in this process is using.
+fn scratch_path(extension: &str) -> std::path::PathBuf {
+    let n = SCRATCH_FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "sqlbarber-determinism-{}-{n}.{extension}",
+        std::process::id()
+    ))
+}
+
 /// The manifest JSON with its one wall-clock field removed — everything
 /// else must be bit-identical across thread counts.
 fn manifest_without_wallclock(r: &GenerationReport) -> serde_json::Value {
-    let path = std::env::temp_dir().join(format!(
-        "sqlbarber-determinism-{}-{}.json",
-        std::process::id(),
-        r.queries.len()
-    ));
+    let path = scratch_path("json");
     r.write_manifest(&path).expect("manifest written");
     let text = std::fs::read_to_string(&path).expect("manifest readable");
     let _ = std::fs::remove_file(&path);
@@ -202,4 +211,44 @@ fn repeated_runs_on_one_database_are_reproducible() {
     assert_eq!(first.final_distance.to_bits(), second.final_distance.to_bits());
     assert_eq!(first.queries.len(), second.queries.len());
     assert_eq!(first_stats, second_stats);
+}
+
+/// 64-bit FNV-1a: a fixed, dependency-free digest that is stable across
+/// toolchains (unlike `DefaultHasher`, whose algorithm is unspecified).
+fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Digest of one run's artifacts: the `.sql` file bytes, then the
+/// manifest minus its wall-clock field.
+fn artifact_digest(r: &GenerationReport) -> u64 {
+    let path = scratch_path("sql");
+    r.write_sql(&path).expect("workload written");
+    let sql = std::fs::read(&path).expect("workload readable");
+    let _ = std::fs::remove_file(&path);
+    let manifest = manifest_without_wallclock(r).to_string();
+    let hash = fnv1a(&sql, 0xcbf2_9ce4_8422_2325);
+    fnv1a(manifest.as_bytes(), fnv1a(&[0], hash))
+}
+
+/// Digest of the serial `run` above, recorded before the random-forest
+/// surrogate was rewritten around presorted features and arena trees.
+/// The surrogate steers every BO proposal, so any change to what it
+/// predicts — a different split, a reordered float sum — changes the
+/// workload. A deliberate surrogate change must re-record this value.
+const GOLDEN_DIGEST: u64 = 0xa747_d0d5_c5ba_7195;
+
+#[test]
+fn small_generate_run_matches_its_golden_digest() {
+    let db = tpch();
+    let (report, _) = run(&db, 1);
+    let digest = artifact_digest(&report);
+    assert_eq!(
+        digest, GOLDEN_DIGEST,
+        "generate output changed: digest {digest:#018x}, golden {GOLDEN_DIGEST:#018x}"
+    );
 }
