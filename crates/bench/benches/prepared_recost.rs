@@ -9,7 +9,10 @@
 //!   whole 256-binding batch, tight per-column selectivity loops, and a
 //!   caller-owned scratch arena (zero steady-state allocation);
 //! * memo hits: a warm oracle answering 1-row `CostOracle::cost` calls
-//!   from its binding-key memo.
+//!   from its binding-key memo;
+//! * `in_subquery`: the synthesizer's `col IN (SELECT … WHERE c > {p})`
+//!   shape, one 256-binding `recost_batch` (the subquery recosted as a
+//!   nested columnar batch) against 256 per-probe `recost` calls.
 //!
 //! Distinct bindings are the case the memo cache cannot help with, so
 //! `from_scratch` vs `recost` is the honest measure of the fast path.
@@ -36,6 +39,16 @@ fn template() -> Template {
          WHERE o.o_orderkey = l.l_orderkey \
          AND l.l_extendedprice > {p_1} AND l.l_quantity <= {p_2} \
          GROUP BY o.o_orderkey",
+    )
+    .expect("template parses")
+}
+
+/// The synthesizer's only subquery shape, next to a plain comparison.
+fn in_subquery_template() -> Template {
+    parse_template(
+        "SELECT l.l_orderkey FROM lineitem AS l \
+         WHERE l.l_quantity <= {p_2} AND l.l_orderkey IN \
+         (SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1})",
     )
     .expect("template parses")
 }
@@ -149,11 +162,50 @@ fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Valu
     let _ = batch_speedup;
 }
 
+/// 256 per-probe `recost` calls against one 256-binding `recost_batch`
+/// on the IN-subquery template; returns the batch speedup.
+fn in_subquery_table(db: &Database, points: &[HashMap<u32, Value>]) -> f64 {
+    let prepared = PreparedTemplate::prepare(db, &in_subquery_template()).expect("prepares");
+    assert!(prepared.recosts_columnar(), "IN-subquery template must recost columnar");
+    let batch = BindingBatch::from_rows(&[1, 2], points).expect("bindings complete");
+    let mut scratch = RecostScratch::new();
+    std::hint::black_box(prepared.recost_batch(db, &batch, &mut scratch).expect("batch recosts"));
+
+    let start = Instant::now();
+    for binding in points {
+        std::hint::black_box(prepared.recost(db, binding).expect("recosts"));
+    }
+    let recost = start.elapsed();
+    let start = Instant::now();
+    std::hint::black_box(prepared.recost_batch(db, &batch, &mut scratch).expect("batch recosts"));
+    let batch_time = start.elapsed();
+
+    let per_probe = |d: std::time::Duration| d.as_nanos() as f64 / points.len() as f64;
+    let speedup = recost.as_secs_f64() / batch_time.as_secs_f64();
+    println!("\nin_subquery: {} distinct bindings of `col IN (SELECT … > {{p}})`", points.len());
+    println!("{:<22} {:>14} {:>12}", "path", "ns/probe", "speedup");
+    println!("{:<22} {:>14.0} {:>11.2}x", "prepared_recost", per_probe(recost), 1.0);
+    println!("{:<22} {:>14.0} {:>11.2}x", "recost_batch_256", per_probe(batch_time), speedup);
+    speedup
+}
+
 fn bench(c: &mut Criterion) {
     let db = minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny());
     let template = template();
     let points = bindings();
     speedup_table(&db, &template, &points);
+    let in_subquery_speedup = in_subquery_table(&db, &points);
+    // Regression gate for the nested columnar subquery path: the batch
+    // must beat per-probe recost by 3x, as the plain template's must
+    // (the row-by-row fallback it replaced ran at about 1x). Release
+    // only, like the gates above.
+    #[cfg(not(debug_assertions))]
+    assert!(
+        in_subquery_speedup >= 3.0,
+        "IN-subquery recost_batch only {in_subquery_speedup:.2}x over per-probe recost"
+    );
+    #[cfg(debug_assertions)]
+    let _ = in_subquery_speedup;
 
     c.bench_function("prepared/from_scratch", |bencher| {
         bencher.iter(|| {

@@ -414,9 +414,11 @@ impl Lane {
     /// Cost one candidate batch: draw `batch_size` candidates from
     /// `StdRng(seed)`, replay them columnar — estimate metrics through
     /// the recost skeleton, execution metrics through the vectorized
-    /// execution plan — and render the accepts. The result is a pure
-    /// function of `(ctx, seed, batch_size)` — which shard runs it, and
-    /// when, is invisible.
+    /// execution plan — and render the first `max_accepts` accepts (a
+    /// flush can never write more than the pair's remaining quota, so
+    /// rendering beyond it is wasted; pass `usize::MAX` for no cap).
+    /// The result is a pure function of `(ctx, seed, batch_size,
+    /// max_accepts)` — which shard runs it, and when, is invisible.
     // detlint::hot
     pub fn run(
         &mut self,
@@ -424,6 +426,7 @@ impl Lane {
         ctx: &PairContext<'_>,
         seed: u64,
         batch_size: usize,
+        max_accepts: usize,
     ) -> Result<(), DbError> {
         let mut rng = StdRng::seed_from_u64(seed);
         self.sql.clear();
@@ -440,6 +443,9 @@ impl Lane {
                 let results =
                     ctx.handle.plan().recost_batch(db, &self.batch, &mut self.recost)?;
                 for (row, &(rows, cost)) in results.iter().enumerate() {
+                    if self.accepts.len() == max_accepts {
+                        break;
+                    }
                     let metric = if ctx.metric == AcceptMetric::EstimatedRows {
                         rows
                     } else {
@@ -466,6 +472,11 @@ impl Lane {
                         Ok(pair) => *pair,
                         Err(error) => return Err(error.clone()),
                     };
+                    // Past the cap, keep scanning: a later row's error
+                    // still fails the batch.
+                    if self.accepts.len() == max_accepts {
+                        continue;
+                    }
                     let metric = if ctx.metric == AcceptMetric::ExecutedRows {
                         rows
                     } else {
@@ -621,9 +632,17 @@ pub fn amplify_workload<W: Write>(
         while emitted < pair.quota && consumed < max_batches && !failed {
             let wave = shards.min((max_batches - consumed) as usize).max(1);
             let batch_indices: Vec<u64> = (0..wave as u64).map(|s| consumed + s).collect();
+            // No batch of this wave can flush more than what remains now.
+            let max_accepts = usize::try_from(pair.quota - emitted).unwrap_or(usize::MAX);
             let results: Vec<Result<(), DbError>> =
                 parallel_map(threads, &batch_indices, |slot, &b| {
-                    lanes[slot].lock().run(db, &pair.ctx, split_seed(pair.seed, b), batch_size)
+                    lanes[slot].lock().run(
+                        db,
+                        &pair.ctx,
+                        split_seed(pair.seed, b),
+                        batch_size,
+                        max_accepts,
+                    )
                 });
             // Flush barrier: consume in canonical batch order until the
             // quota fills; later speculative batches are discarded unseen
@@ -790,12 +809,23 @@ mod tests {
         .unwrap();
         let mut a = Lane::new();
         let mut b = Lane::new();
-        a.run(&db, &ctx, 42, 256).unwrap();
+        a.run(&db, &ctx, 42, 256, usize::MAX).unwrap();
         // Warm `b` with a different seed first: reuse must not leak.
-        b.run(&db, &ctx, 7, 256).unwrap();
-        b.run(&db, &ctx, 42, 256).unwrap();
+        b.run(&db, &ctx, 7, 256, usize::MAX).unwrap();
+        b.run(&db, &ctx, 42, 256, usize::MAX).unwrap();
         assert_eq!(a.accepts(), b.accepts());
         assert_eq!(a.accepted_chunk(a.accepts().len()), b.accepted_chunk(b.accepts().len()));
+
+        // A capped run renders exactly the uncapped run's first accepts.
+        let all = a.accepts().len();
+        assert!(all > 2, "need accepts to cap");
+        for cap in [0, 1, all / 2, all, all + 1] {
+            b.run(&db, &ctx, 42, 256, cap).unwrap();
+            let kept = cap.min(all);
+            assert_eq!(b.candidates(), 256);
+            assert_eq!(b.accepts(), &a.accepts()[..kept]);
+            assert_eq!(b.accepted_chunk(kept), a.accepted_chunk(kept));
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::catalog::Database;
 use crate::error::DbError;
 use crate::estimator::{
     default_for, equality_selectivity, flip, group_count_from_nds, Estimator, Scope,
-    DEFAULT_INEQ_SEL,
+    DEFAULT_INEQ_SEL, DEFAULT_SUBQUERY_SEL,
 };
 use crate::planner;
 use sqlkit::{BinaryOp, ColumnRef, Expr, JoinKind, Select, Template, Value};
@@ -239,6 +239,14 @@ pub struct RecostScratch {
     /// One scan's gathered conjunct selectivities (cached and dynamic,
     /// in replay order), consumed by the chunked product kernel.
     conj_sels: Vec<f64>,
+    /// Per-row subquery cost, accumulated in the planner's subquery
+    /// order (fixed and dynamic subqueries interleaved).
+    sub_costs: Vec<f64>,
+    /// Flat column-major output rows of the dynamic subqueries: dynamic
+    /// subquery `d`, row `r` lives at `d * batch_len + r`.
+    sub_rows: Vec<f64>,
+    /// One arena per dynamic subquery body, used recursively.
+    nested: Vec<RecostScratch>,
 }
 
 impl RecostScratch {
@@ -293,6 +301,10 @@ enum FastShape {
     /// `column [NOT] BETWEEN bound AND bound` where each bound is a
     /// placeholder or a literal.
     Between { column: ColumnRef, negated: bool, low: FastBound, high: FastBound },
+    /// `column [NOT] IN (subquery)` over one of this level's dynamic
+    /// subqueries; `sub` is its ordinal among them, which indexes its
+    /// output-rows column.
+    InSubquery { column: ColumnRef, negated: bool, sub: usize },
 }
 
 /// One bound of a fast-shape `BETWEEN`.
@@ -380,6 +392,16 @@ impl PreparedTemplate {
         &self.placeholder_ids
     }
 
+    /// True when [`recost_batch`] recosts every level of the statement
+    /// columnar; false when some level reads a dynamic subquery's rows
+    /// through a predicate shape the columnar path does not cover and
+    /// replays the scalar path row by row. Decided at prepare time.
+    ///
+    /// [`recost_batch`]: PreparedTemplate::recost_batch
+    pub fn recosts_columnar(&self) -> bool {
+        self.body.recosts_columnar()
+    }
+
     /// Re-cost the cached skeleton under a binding: returns
     /// `(estimated_rows, total_cost)`, bit-identical to
     /// `db.explain(&template.instantiate(bindings)?)`.
@@ -427,8 +449,10 @@ impl PreparedTemplate {
     /// computed as a tight columnar loop over the batch's value columns,
     /// and only the scalar cost roll-up replays per row — no per-probe
     /// `HashMap` lookups and no per-probe allocation (generic predicate
-    /// shapes excepted). `scratch` is a caller-owned arena; reusing it
-    /// across batches makes the warm path allocation-free.
+    /// shapes excepted). Placeholder-bearing subqueries are recosted the
+    /// same way, as nested batches whose output rows become columns.
+    /// `scratch` is a caller-owned arena; reusing it across batches makes
+    /// the warm path allocation-free.
     ///
     /// Extra batch columns beyond the template's placeholders are
     /// ignored; a missing column reports the smallest unbound id.
@@ -446,21 +470,7 @@ impl PreparedTemplate {
                 return Err(DbError::UnboundPlaceholder(*id));
             }
         }
-        if self.body.subqueries.iter().any(|s| matches!(s, PreparedSubquery::Dynamic { .. }))
-        {
-            // Dynamic subqueries re-render per row; take the scalar path
-            // row by row (identical numbers, none of the columnar wins).
-            scratch.results.clear();
-            for row in 0..batch.len() {
-                batch.fill_row_map(row, &mut scratch.row_bindings);
-                // detlint::allow(hot_alloc): dynamic-subquery fallback replays the scalar path row by row; per-row BoundRow collection is inherent to it
-                let bound = BoundRow::collect(&self.placeholder_ids, &scratch.row_bindings)
-                    .expect("batch columns validated above");
-                scratch.results.push(self.body.recost(db, &bound));
-            }
-        } else {
-            self.body.recost_batch(db, batch, scratch);
-        }
+        self.body.recost_batch(db, batch, scratch);
 
         // Ground truth cross-check: every row must match the from-scratch
         // planner bit-for-bit, exactly like `recost`. Rows whose
@@ -508,9 +518,15 @@ struct PreparedPredicate {
 }
 
 impl PreparedPredicate {
-    fn prepare(estimator: &Estimator<'_>, expr: Expr) -> PreparedPredicate {
+    /// `in_subs` lists `(subquery, dynamic ordinal)` for this level's
+    /// dynamic subqueries (see [`FastShape::InSubquery`]).
+    fn prepare(
+        estimator: &Estimator<'_>,
+        expr: Expr,
+        in_subs: &[(&Select, usize)],
+    ) -> PreparedPredicate {
         let (cached_sel, fast) = if expr.has_placeholders() {
-            (None, classify_fast(&expr))
+            (None, classify_fast(&expr, in_subs))
         } else {
             (Some(estimator.selectivity(&expr)), None)
         };
@@ -531,10 +547,11 @@ impl PreparedPredicate {
 /// bit-identical to `Estimator::selectivity` on the substituted
 /// expression, so only shapes whose normalization is trivial are
 /// accepted: a bare `column op {placeholder}` comparison (either
-/// orientation) or `column [NOT] BETWEEN` with placeholder/literal
-/// bounds. Everything else — compound booleans, arithmetic around the
+/// orientation), `column [NOT] BETWEEN` with placeholder/literal
+/// bounds, or `column [NOT] IN (subquery)` over one of `in_subs`.
+/// Everything else — compound booleans, arithmetic around the
 /// placeholder, negated columns — takes the generic substitute path.
-fn classify_fast(expr: &Expr) -> Option<FastShape> {
+fn classify_fast(expr: &Expr, in_subs: &[(&Select, usize)]) -> Option<FastShape> {
     match expr {
         Expr::Binary { left, op, right } if op.is_comparison() => {
             match (left.as_ref(), right.as_ref()) {
@@ -561,8 +578,27 @@ fn classify_fast(expr: &Expr) -> Option<FastShape> {
                 high: bound_of(high)?,
             })
         }
+        Expr::InSubquery { expr: target, negated, subquery } => {
+            let Expr::Column(column) = target.as_ref() else { return None };
+            let &(_, sub) = in_subs.iter().find(|(s, _)| *s == subquery.as_ref())?;
+            Some(FastShape::InSubquery { column: column.clone(), negated: *negated, sub })
+        }
         _ => None,
     }
+}
+
+/// True when evaluating `expr` reads the estimated rows of a
+/// placeholder-bearing subquery at this level (`IN`/`EXISTS`; a scalar
+/// subquery's rows are never read). Subquery bodies are their own
+/// levels and are not searched.
+fn reads_dynamic_rows(expr: &Expr) -> bool {
+    let mut reads = false;
+    expr.walk(&mut |e| {
+        if let Expr::InSubquery { subquery, .. } | Expr::Exists { subquery, .. } = e {
+            reads |= subquery.has_placeholders();
+        }
+    });
+    reads
 }
 
 /// Index-probe candidacy of one scan conjunct.
@@ -596,7 +632,9 @@ struct PreparedScan {
 enum PreparedSubquery {
     /// Placeholder-free: rendered text, rows, and cost never change.
     Fixed { text: String, rows: f64, cost: f64 },
-    /// Placeholder-bearing: recost recursively, re-render the key text.
+    /// Placeholder-bearing: recost recursively. The scalar replay also
+    /// re-renders the instantiated text, the estimator's rows key; the
+    /// batch replay reads the rows from a column instead.
     Dynamic { body: Box<PreparedSelect>, template: Box<Select> },
 }
 
@@ -606,6 +644,8 @@ struct PreparedSelect {
     scope: Scope,
     /// In [`Select::subqueries`] order (the planner's accumulation order).
     subqueries: Vec<PreparedSubquery>,
+    /// How many of `subqueries` are `Dynamic`.
+    n_dynamic: usize,
     scans: Vec<PreparedScan>,
     /// `(left_binding, right_binding, cached equi-join selectivity)`,
     /// in classification order.
@@ -627,6 +667,11 @@ struct PreparedSelect {
     limit: Option<u64>,
     /// A pipeline breaker below the limit disables early-exit scaling.
     limit_breaker: bool,
+    /// Some predicate reads a dynamic subquery's rows through a shape
+    /// the columnar path does not cover (`EXISTS`, a non-column left
+    /// side, an `IN` under `OR`/`NOT`, ...): `recost_batch` replays this
+    /// level's scalar path row by row.
+    row_fallback: bool,
 }
 
 impl PreparedSelect {
@@ -657,6 +702,18 @@ impl PreparedSelect {
         let (scan_filters, raw_edges, raw_residuals) =
             planner::classify_predicates(db, select, &scope)?;
 
+        // `(subquery, dynamic ordinal)` of every dynamic subquery, for the
+        // `IN` fast shape. The estimator finds a subquery's rows by its
+        // rendered text; subqueries that render alike plan alike, so
+        // reading the subquery's own rows column gives the same number.
+        let in_subs: Vec<(&Select, usize)> = select
+            .subqueries()
+            .into_iter()
+            .filter(|s| s.has_placeholders())
+            .enumerate()
+            .map(|(ordinal, s)| (s, ordinal))
+            .collect();
+
         // The prepare-time estimator sees only fixed subquery rows; that
         // is sufficient because any predicate touching a dynamic subquery
         // contains placeholders and is never cached.
@@ -678,7 +735,7 @@ impl PreparedSelect {
                     if indexed { IndexProbe::Always } else { IndexProbe::Never }
                 };
                 conjuncts.push(PreparedConjunct {
-                    predicate: PreparedPredicate::prepare(&estimator, expr.clone()),
+                    predicate: PreparedPredicate::prepare(&estimator, expr.clone(), &in_subs),
                     index_probe,
                 });
             }
@@ -708,7 +765,7 @@ impl PreparedSelect {
             .collect();
         let residuals: Vec<(u64, PreparedPredicate)> = raw_residuals
             .into_iter()
-            .map(|(mask, expr)| (mask, PreparedPredicate::prepare(&estimator, expr)))
+            .map(|(mask, expr)| (mask, PreparedPredicate::prepare(&estimator, expr, &in_subs)))
             .collect();
 
         let has_outer_join = select.joins.iter().any(|j| j.kind == JoinKind::Left);
@@ -717,17 +774,27 @@ impl PreparedSelect {
         let group_nds = select.group_by.iter().map(|e| estimator.group_nd(e)).collect();
         let having = select.having.as_ref().map(|h| {
             (
-                PreparedPredicate::prepare(&estimator, h.clone()),
+                PreparedPredicate::prepare(&estimator, h.clone(), &in_subs),
                 planner::count_leaves(h),
             )
         });
         let distinct_nds = (select.distinct && !grouped).then(|| {
             select.projections.iter().map(|p| estimator.group_nd(&p.expr)).collect()
         });
+        let row_fallback = scans
+            .iter()
+            .flat_map(|scan| scan.conjuncts.iter().map(|c| &c.predicate))
+            .chain(residuals.iter().map(|(_, predicate)| predicate))
+            .chain(having.iter().map(|(predicate, _)| predicate))
+            .any(|predicate| predicate.fast.is_none() && reads_dynamic_rows(&predicate.expr));
 
         Ok(PreparedSelect {
             syntactic_order: has_outer_join || scope.bindings.len() == 1,
             scope,
+            n_dynamic: subqueries
+                .iter()
+                .filter(|s| matches!(s, PreparedSubquery::Dynamic { .. }))
+                .count(),
             subqueries,
             scans,
             edges,
@@ -740,7 +807,17 @@ impl PreparedSelect {
             has_order_by: !select.order_by.is_empty(),
             limit: select.limit,
             limit_breaker: grouped || !select.order_by.is_empty() || select.distinct,
+            row_fallback,
         })
+    }
+
+    /// No level of this statement takes the row-by-row fallback.
+    fn recosts_columnar(&self) -> bool {
+        !self.row_fallback
+            && self.subqueries.iter().all(|subquery| match subquery {
+                PreparedSubquery::Fixed { .. } => true,
+                PreparedSubquery::Dynamic { body, .. } => body.recosts_columnar(),
+            })
     }
 
     /// Replay the planner's cost roll-up for one binding. Pure: no state
@@ -914,20 +991,35 @@ impl PreparedSelect {
         (current_rows, total)
     }
 
-    /// Columnar batch replay. Phase A computes every dynamic predicate's
-    /// per-row selectivities as tight loops over the batch's value
+    /// Columnar batch replay. Dynamic subquery bodies go first, each
+    /// recosted as a nested batch over the same bindings: that yields
+    /// one output-rows column per dynamic subquery and, added up in the
+    /// planner's subquery order, each row's subquery cost. Phase A then
+    /// computes every dynamic predicate's per-row selectivities as tight
+    /// loops over the batch's value columns and the subquery rows
     /// columns (one pass per predicate, no per-row maps for recognized
     /// shapes) and resolves each conjunct's index-probe decision once
     /// per batch. Phase B replays the scalar cost roll-up per row,
     /// consuming the selectivity columns in exactly the scalar order —
     /// every f64 operation sees the same operands in the same sequence,
-    /// which is what makes the results bit-identical.
+    /// which is what makes the results bit-identical. A level marked
+    /// `row_fallback` replays the scalar path row by row instead.
     ///
-    /// Caller guarantees: no dynamic subqueries, and every placeholder
-    /// id has a batch column.
+    /// Caller guarantees: every placeholder id has a batch column.
     // detlint::hot
     fn recost_batch(&self, db: &Database, batch: &BindingBatch, scratch: &mut RecostScratch) {
         let n = batch.len();
+        if self.row_fallback {
+            scratch.results.clear();
+            for row in 0..n {
+                batch.fill_row_map(row, &mut scratch.row_bindings);
+                // detlint::allow(hot_alloc): the row-by-row fallback for predicate shapes the columnar path does not cover replays the scalar path; per-row BoundRow collection is inherent to it
+                let bound = BoundRow::collect(batch.ids(), &scratch.row_bindings)
+                    .expect("a row map binds every batch id");
+                scratch.results.push(self.recost(db, &bound));
+            }
+            return;
+        }
         let RecostScratch {
             results,
             sels,
@@ -940,24 +1032,52 @@ impl PreparedSelect {
             probes,
             residual_cols,
             conj_sels,
+            sub_costs,
+            sub_rows,
+            nested,
         } = scratch;
         results.clear();
 
         let model = db.cost_model();
 
-        // ---- batch-invariant setup ----------------------------------
-        let mut subquery_cost = 0.0;
-        // detlint::allow(hot_alloc): batch-invariant setup — one small subquery-rows map per batch, not per row
-        let mut subquery_rows = HashMap::new();
-        for subquery in &self.subqueries {
-            let PreparedSubquery::Fixed { text, rows, cost } = subquery else {
-                unreachable!("dynamic subqueries take the scalar fallback");
-            };
-            subquery_cost += cost;
-            subquery_rows.insert(text.clone(), *rows);
+        // ---- subqueries (planner accumulation order) -----------------
+        if nested.len() < self.n_dynamic {
+            nested.resize_with(self.n_dynamic, RecostScratch::new);
         }
+        sub_costs.clear();
+        sub_costs.resize(n, 0.0);
+        sub_rows.clear();
+        sub_rows.resize(self.n_dynamic * n, 0.0);
+        // detlint::allow(hot_alloc): batch-invariant setup — one small subquery-rows map per batch, not per row
+        let mut fixed_rows = HashMap::new();
+        let mut dynamic = 0usize;
+        for subquery in &self.subqueries {
+            match subquery {
+                PreparedSubquery::Fixed { text, rows, cost } => {
+                    for total in sub_costs.iter_mut() {
+                        *total += cost;
+                    }
+                    fixed_rows.insert(text.clone(), *rows);
+                }
+                PreparedSubquery::Dynamic { body, .. } => {
+                    let inner = &mut nested[dynamic];
+                    body.recost_batch(db, batch, inner);
+                    let rows_column = &mut sub_rows[dynamic * n..(dynamic + 1) * n];
+                    for ((total, rows_out), &(rows, cost)) in
+                        sub_costs.iter_mut().zip(rows_column.iter_mut()).zip(&inner.results)
+                    {
+                        *total += cost;
+                        *rows_out = rows;
+                    }
+                    dynamic += 1;
+                }
+            }
+        }
+        // Only predicates that never read a dynamic subquery's rows use
+        // the estimator (`row_fallback` is false), so the fixed rows are
+        // all it needs.
         // detlint::allow(hot_alloc): batch-invariant setup — one estimator per batch, amortized over every row; the per-row phases below stay alloc-free
-        let estimator = Estimator::new(db, &self.scope).with_subquery_rows(subquery_rows);
+        let estimator = Estimator::new(db, &self.scope).with_subquery_rows(fixed_rows);
 
         // Assign one selectivity column per dynamic predicate, in replay
         // order: scan conjuncts, then residuals, then HAVING. Residuals
@@ -1000,6 +1120,7 @@ impl PreparedSelect {
                         &conjunct.predicate,
                         &estimator,
                         batch,
+                        sub_rows,
                         &mut sels[column * n..(column + 1) * n],
                         row_bindings,
                     );
@@ -1033,6 +1154,8 @@ impl PreparedSelect {
                                 BatchProbe::Fixed(false)
                             }
                         }
+                        // `indexable_bounds` never accepts `IN (subquery)`.
+                        Some(FastShape::InSubquery { .. }) => BatchProbe::Fixed(false),
                         None => BatchProbe::Generic,
                     },
                 });
@@ -1044,13 +1167,21 @@ impl PreparedSelect {
                     predicate,
                     &estimator,
                     batch,
+                    sub_rows,
                     &mut sels[c * n..(c + 1) * n],
                     row_bindings,
                 );
             }
         }
         if let (Some((predicate, _)), Some(c)) = (&self.having, having_col) {
-            fill_column(predicate, &estimator, batch, &mut sels[c * n..(c + 1) * n], row_bindings);
+            fill_column(
+                predicate,
+                &estimator,
+                batch,
+                sub_rows,
+                &mut sels[c * n..(c + 1) * n],
+                row_bindings,
+            );
         }
 
         // ---- phase B: per-row cost roll-up --------------------------
@@ -1241,7 +1372,7 @@ impl PreparedSelect {
                 current_rows = rows;
             }
 
-            let total = current_cost + current_rows * model.cpu_tuple_cost + subquery_cost;
+            let total = current_cost + current_rows * model.cpu_tuple_cost + sub_costs[row];
             results.push((current_rows, total));
         }
     }
@@ -1274,14 +1405,17 @@ pub fn product_ordered(sels: &[f64]) -> f64 {
 
 /// Phase A columnar fill: one dynamic predicate's selectivity for every
 /// batch row, written into its column slice. Fast shapes resolve column
-/// statistics once and replay `Estimator`'s comparison/range arithmetic
-/// per value — the identical operations in the identical order, so the
-/// results match the substitute-then-estimate path bit for bit. Generic
-/// shapes rebuild a binding map per row and take that path literally.
+/// statistics once and replay `Estimator`'s comparison/range/semijoin
+/// arithmetic per value — the identical operations in the identical
+/// order, so the results match the substitute-then-estimate path bit for
+/// bit. `sub_rows` holds the dynamic subqueries' output-rows columns
+/// (see [`RecostScratch::sub_rows`]). Generic shapes rebuild a binding
+/// map per row and take that path literally.
 fn fill_column(
     predicate: &PreparedPredicate,
     estimator: &Estimator<'_>,
     batch: &BindingBatch,
+    sub_rows: &[f64],
     out: &mut [f64],
     row_bindings: &mut HashMap<u32, Value>,
 ) {
@@ -1345,6 +1479,18 @@ fn fill_column(
                         (Some(_), Some(_)) => 0.0, // inverted range is empty
                         _ => DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL,
                     },
+                };
+                let sel = if *negated { 1.0 - sel } else { sel };
+                *slot = sel.clamp(0.0, 1.0);
+            }
+        }
+        Some(FastShape::InSubquery { column, negated, sub }) => {
+            let n = out.len();
+            let lhs_nd = estimator.column_stats(column).map(|s| s.n_distinct.max(1.0));
+            for (slot, &rows) in out.iter_mut().zip(&sub_rows[sub * n..(sub + 1) * n]) {
+                let sel = match lhs_nd {
+                    Some(nd) => (rows / nd).clamp(0.0, 1.0),
+                    None => DEFAULT_SUBQUERY_SEL,
                 };
                 let sel = if *negated { 1.0 - sel } else { sel };
                 *slot = sel.clamp(0.0, 1.0);
@@ -1523,8 +1669,14 @@ mod tests {
 
     /// Scalar/batch agreement over one template: build a batch from the
     /// binding rows (plus a duplicate of the first row, exercising
-    /// identical recomputation) and compare bit-for-bit.
-    fn assert_batch_matches_scalar(db: &Database, sql: &str, rows: &[Vec<(u32, Value)>]) {
+    /// identical recomputation) and compare bit-for-bit with scalar
+    /// `recost` and, for rows the planner accepts, with `explain`.
+    /// Returns the prepared template for shape assertions.
+    fn assert_batch_matches_scalar(
+        db: &Database,
+        sql: &str,
+        rows: &[Vec<(u32, Value)>],
+    ) -> PreparedTemplate {
         let template = parse_template(sql).unwrap();
         let prepared = PreparedTemplate::prepare(db, &template).unwrap();
         let mut maps: Vec<HashMap<u32, Value>> =
@@ -1540,7 +1692,13 @@ mod tests {
             let (rows, cost) = prepared.recost(db, map).unwrap();
             assert_eq!(batch_rows.to_bits(), rows.to_bits(), "rows for {sql}");
             assert_eq!(batch_cost.to_bits(), cost.to_bits(), "cost for {sql}");
+            let query = template.instantiate(map).unwrap();
+            if let Ok(explain) = db.explain(&query) {
+                assert_eq!(batch_rows.to_bits(), explain.estimated_rows.to_bits(), "{query}");
+                assert_eq!(batch_cost.to_bits(), explain.total_cost.to_bits(), "{query}");
+            }
         }
+        prepared
     }
 
     #[test]
@@ -1614,13 +1772,101 @@ mod tests {
                 vec![(1, Value::Int(49)), (2, Value::Float(9_000.0))],
             ],
         );
-        // Dynamic subquery: scalar fallback path.
-        assert_batch_matches_scalar(
-            &db,
+    }
+
+    /// Placeholder-bearing subqueries: the shapes the columnar path
+    /// recosts as subquery-rows columns, and the shapes that still take
+    /// the row-by-row fallback, each bit-identical to scalar `recost`
+    /// and to `explain`.
+    #[test]
+    fn batch_recost_matches_scalar_across_subquery_shapes() {
+        let db = tpch();
+        let price = |rows: &[f64]| -> Vec<Vec<(u32, Value)>> {
+            rows.iter().map(|&p| vec![(1, Value::Float(p))]).collect()
+        };
+        let price_and_date = [
+            vec![(1, Value::Float(1_000.0)), (2, Value::Int(9_000))],
+            vec![(1, Value::Float(100_000.0)), (2, Value::Int(9_500))],
+            vec![(1, Value::Float(-5.0)), (2, Value::Int(0))],
+        ];
+        // `IN` and `NOT IN` over a dynamic subquery: the synthesizer's shape.
+        for sql in [
             "SELECT c.c_name FROM customer AS c WHERE c.c_custkey IN \
              (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {p_1})",
-            &[vec![(1, Value::Float(1_000.0))], vec![(1, Value::Float(100_000.0))]],
+            "SELECT c.c_name FROM customer AS c WHERE c.c_custkey NOT IN \
+             (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {p_1})",
+        ] {
+            let prepared =
+                assert_batch_matches_scalar(&db, sql, &price(&[1_000.0, 100_000.0, 1e9]));
+            assert!(prepared.recosts_columnar(), "{sql}");
+        }
+        // Two dynamic subqueries with a fixed one between them: each row's
+        // subquery cost must add the three in the planner's order.
+        let prepared = assert_batch_matches_scalar(
+            &db,
+            "SELECT c.c_name FROM customer AS c \
+             WHERE c.c_custkey IN (SELECT o.o_custkey FROM orders AS o \
+                                   WHERE o.o_totalprice > {p_1}) \
+             AND c.c_nationkey IN (SELECT n.n_nationkey FROM nation AS n \
+                                   WHERE n.n_regionkey = 1) \
+             AND c.c_custkey NOT IN (SELECT o2.o_custkey FROM orders AS o2 \
+                                     WHERE o2.o_orderdate < {p_2})",
+            &price_and_date,
         );
+        assert!(prepared.recosts_columnar());
+        // A dynamic subquery nested inside a dynamic subquery body, and a
+        // placeholder-bearing scalar subquery (its rows are never read).
+        for sql in [
+            "SELECT c.c_name FROM customer AS c WHERE c.c_custkey IN \
+             (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_1} \
+              AND o.o_orderkey IN (SELECT l.l_orderkey FROM lineitem AS l \
+                                   WHERE l.l_quantity < {p_2}))",
+            "SELECT c.c_name FROM customer AS c WHERE c.c_acctbal > {p_2} AND \
+             c.c_acctbal < (SELECT AVG(o.o_totalprice) FROM orders AS o \
+                            WHERE o.o_totalprice > {p_1})",
+        ] {
+            let prepared = assert_batch_matches_scalar(&db, sql, &price_and_date);
+            assert!(prepared.recosts_columnar(), "{sql}");
+        }
+        // Two subqueries of one shape: a row binding both alike renders
+        // them alike, and the estimator serves both from one rows entry.
+        let prepared = assert_batch_matches_scalar(
+            &db,
+            "SELECT c.c_name FROM customer AS c \
+             WHERE c.c_custkey IN (SELECT o.o_custkey FROM orders AS o \
+                                   WHERE o.o_totalprice > {p_1}) \
+             AND c.c_custkey IN (SELECT o.o_custkey FROM orders AS o \
+                                 WHERE o.o_totalprice > {p_2})",
+            &[
+                vec![(1, Value::Float(1_000.0)), (2, Value::Float(1_000.0))],
+                vec![(1, Value::Float(90_000.0)), (2, Value::Float(20.0))],
+            ],
+        );
+        assert!(prepared.recosts_columnar());
+        // Fallback shapes: EXISTS, a non-column left side, an IN under
+        // OR, and a columnar level over a body that falls back.
+        for sql in [
+            "SELECT c.c_name FROM customer AS c WHERE c.c_acctbal > {p_2} AND \
+             EXISTS (SELECT o.o_orderkey FROM orders AS o WHERE o.o_totalprice > {p_1})",
+            "SELECT c.c_name FROM customer AS c WHERE c.c_custkey + 1 IN \
+             (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_1})",
+            "SELECT c.c_name FROM customer AS c WHERE c.c_acctbal > {p_2} OR \
+             c.c_custkey IN (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_1})",
+            "SELECT c.c_name FROM customer AS c WHERE c.c_custkey IN \
+             (SELECT o.o_custkey FROM orders AS o WHERE NOT EXISTS \
+              (SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity < {p_2}) \
+              AND o.o_totalprice > {p_1})",
+        ] {
+            let prepared = assert_batch_matches_scalar(
+                &db,
+                sql,
+                &[
+                    vec![(1, Value::Float(1_000.0)), (2, Value::Float(1_000.0))],
+                    vec![(1, Value::Float(90_000.0)), (2, Value::Float(20.0))],
+                ],
+            );
+            assert!(!prepared.recosts_columnar(), "{sql}");
+        }
     }
 
     #[test]

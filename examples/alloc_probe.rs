@@ -7,7 +7,8 @@
 //! [`ColumnarScratch`];
 //! `--amplify` measures the warm amplification emission loop (draw →
 //! decode → columnar recost → render → stream) over one million emitted
-//! queries, asserting 0.000 allocs/query — which simultaneously
+//! queries of a single-table template and of the synthesizer's
+//! IN-subquery template, asserting 0.000 allocs/query — which simultaneously
 //! demonstrates bounded memory at N = 1M (nothing proportional to the
 //! workload is retained); `--exec-batch 256` measures the vectorized
 //! executor (`PreparedExec::execute_batch`) warm path with a reused
@@ -166,41 +167,55 @@ fn main() {
 
     // `--amplify`: allocations per emitted query in the warm amplification
     // loop — one million queries drawn, recosted, rendered, and streamed
-    // to a sink through per-batch scratch only. Numeric placeholders keep
-    // decode alloc-free (string dimensions clone their MCV by design).
+    // to a sink through per-batch scratch only, for a single-table
+    // template and for the synthesizer's IN-subquery shape (whose
+    // subquery is recosted as a nested columnar batch). Numeric
+    // placeholders keep decode alloc-free (string dimensions clone their
+    // MCV by design).
     if args.iter().any(|a| a == "--amplify") {
-        let template = sqlkit::parse_template(
+        for sql in [
             "SELECT l.l_orderkey FROM lineitem AS l \
              WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        let profiled = profile_template(&oracle, template, CostType::Cardinality, 64, &mut rng);
-        let max = profiled.costs.iter().fold(0.0f64, |a, &b| a.max(b));
-        let intervals = workload::CostIntervals::new(0.0, (max * 1.05).max(1.0), 5);
-        // Fit against the densest interval so the accept rate is high.
-        let mut conforming = [0usize; 5];
-        for eval in &profiled.evaluations {
-            if let Some(j) = intervals.interval_of(eval.value) {
-                conforming[j] += 1;
-            }
+            "SELECT l.l_orderkey FROM lineitem AS l \
+             WHERE l.l_quantity > {p_1} AND l.l_orderkey IN \
+             (SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_extendedprice > {p_2})",
+        ] {
+            amplify_probe(&db, &oracle, sql);
         }
-        let interval = conforming
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &n)| n)
-            .map(|(j, _)| j)
-            .unwrap();
-        let handle = oracle.prepare(&profiled.template).unwrap();
-        let ctx =
-            PairContext::new(&profiled, handle, CostType::Cardinality, intervals, interval)
-                .expect("densest interval has conforming probes");
-        let mut lane = Lane::new();
-        let mut writer = workload::StreamingSqlWriter::new(std::io::sink());
-        let run_batch = |lane: &mut Lane,
-                             writer: &mut workload::StreamingSqlWriter<std::io::Sink>,
-                             b: u64| {
-            lane.run(&db, &ctx, bayesopt::parallel::split_seed(9, b), DEFAULT_BATCH)
+    }
+}
+
+/// One `--amplify` template: profile it, fit a lane to its densest
+/// interval, warm up, then count allocations per emitted query over
+/// one million queries.
+fn amplify_probe(db: &minidb::Database, oracle: &CostOracle, sql: &str) {
+    let template = sqlkit::parse_template(sql).unwrap();
+    let mut rng = StdRng::seed_from_u64(17);
+    let profiled = profile_template(oracle, template, CostType::Cardinality, 64, &mut rng);
+    let max = profiled.costs.iter().fold(0.0f64, |a, &b| a.max(b));
+    let intervals = workload::CostIntervals::new(0.0, (max * 1.05).max(1.0), 5);
+    // Fit against the densest interval so the accept rate is high.
+    let mut conforming = [0usize; 5];
+    for eval in &profiled.evaluations {
+        if let Some(j) = intervals.interval_of(eval.value) {
+            conforming[j] += 1;
+        }
+    }
+    let interval = conforming
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, &n)| n)
+        .map(|(j, _)| j)
+        .unwrap();
+    let handle = oracle.prepare(&profiled.template).unwrap();
+    assert!(handle.plan().recosts_columnar(), "probe template must recost columnar: {sql}");
+    let ctx = PairContext::new(&profiled, handle, CostType::Cardinality, intervals, interval)
+        .expect("densest interval has conforming probes");
+    let mut lane = Lane::new();
+    let mut writer = workload::StreamingSqlWriter::new(std::io::sink());
+    let run_batch =
+        |lane: &mut Lane, writer: &mut workload::StreamingSqlWriter<std::io::Sink>, b: u64| {
+            lane.run(db, &ctx, bayesopt::parallel::split_seed(9, b), DEFAULT_BATCH, usize::MAX)
                 .expect("recosts");
             let accepted = lane.accepts().len();
             writer
@@ -208,24 +223,23 @@ fn main() {
                 .expect("sink never fails");
             accepted as u64
         };
-        // Warm-up: grow the lane arenas and the record string.
-        let mut batch_index = 0u64;
-        for _ in 0..4 {
-            run_batch(&mut lane, &mut writer, batch_index);
-            batch_index += 1;
-        }
-        const TARGET: u64 = 1_000_000;
-        let mut emitted = 0u64;
-        let before = ALLOCS.load(Ordering::Relaxed);
-        while emitted < TARGET {
-            emitted += run_batch(&mut lane, &mut writer, batch_index);
-            batch_index += 1;
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        let per = (after - before) as f64 / emitted as f64;
-        println!("allocs per warm amplified query ({emitted} emitted): {per:.3}");
-        assert!(per < 0.0005, "warm amplification loop allocated {per:.5}/query");
+    // Warm-up: grow the lane arenas and the record string.
+    let mut batch_index = 0u64;
+    for _ in 0..4 {
+        run_batch(&mut lane, &mut writer, batch_index);
+        batch_index += 1;
     }
+    const TARGET: u64 = 1_000_000;
+    let mut emitted = 0u64;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    while emitted < TARGET {
+        emitted += run_batch(&mut lane, &mut writer, batch_index);
+        batch_index += 1;
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    let per = (after - before) as f64 / emitted as f64;
+    println!("allocs per warm amplified query ({emitted} emitted): {per:.3}\n  template: {sql}");
+    assert!(per < 0.0005, "warm amplification loop allocated {per:.5}/query for {sql}");
 }
 
 /// `--surrogate`: the BO surrogate's allocation profile. A warm

@@ -144,7 +144,7 @@ proptest! {
         .expect("densest interval has conforming probes");
 
         let mut lane = Lane::new();
-        lane.run(db, &ctx, batch_seed, batch_size).expect("lane recosts");
+        lane.run(db, &ctx, batch_seed, batch_size, usize::MAX).expect("lane recosts");
         prop_assert_eq!(lane.candidates(), batch_size);
 
         // Scalar replay of the identical RNG stream.

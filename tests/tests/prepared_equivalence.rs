@@ -76,6 +76,16 @@ const SKELETONS: &[Skeleton] = &[
         kinds: &[(1, false), (2, false)],
         extras: &[("c.c_nationkey", true)],
     },
+    // `NOT IN` over a placeholder-bearing subquery: the negated
+    // semijoin, recosted from the subquery's rows column.
+    Skeleton {
+        sql: "SELECT c.c_custkey FROM customer AS c \
+              WHERE c.c_custkey NOT IN \
+              (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_1})\
+              {EXTRA}",
+        kinds: &[(1, false)],
+        extras: &[("c.c_acctbal", false), ("c.c_nationkey", true)],
+    },
 ];
 
 const OPS: &[&str] = &[">", "<", ">=", "<="];
@@ -261,5 +271,68 @@ proptest! {
         prop_assert_eq!(stats.logical_probes, batch.len() as u64);
         prop_assert_eq!(stats.physical_evals, distinct);
         prop_assert_eq!(stats.prepared_hits, batch.len() as u64 - distinct);
+    }
+}
+
+/// The synthesizer's only subquery shape, `alias.key IN (SELECT
+/// table.key FROM table WHERE table.col > {p})`, must recost columnar at
+/// every level, bit-identical to per-row `recost`. If a change to the
+/// synthesizer or to the prepared-plan classifier sends it back to the
+/// row-by-row fallback, this fails.
+#[test]
+fn synthesized_subquery_templates_recost_columnar() {
+    use llm::schema_ctx::SchemaContext;
+    use llm::synthesis::synthesize;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sqlbarber::sampler::PlaceholderSpace;
+    use sqlkit::{Instruction, Template, TemplateSpec};
+
+    let db = db();
+    let context = SchemaContext::parse(&db.schema_summary());
+    let join_path: Vec<(String, String, String, String)> = vec![
+        ("orders".into(), "o_custkey".into(), "customer".into(), "c_custkey".into()),
+        ("lineitem".into(), "l_orderkey".into(), "orders".into(), "o_orderkey".into()),
+    ];
+    let specs = [
+        (TemplateSpec::new(1).with_tables(1).with_joins(0), &join_path[..0]),
+        (TemplateSpec::new(2).with_tables(2).with_joins(1), &join_path[..1]),
+        (
+            TemplateSpec::new(3)
+                .with_tables(3)
+                .with_joins(2)
+                .with_aggregations(1)
+                .with_instruction(Instruction::GroupBy),
+            &join_path[..],
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(14);
+    for (spec, path) in specs {
+        let spec = spec
+            .with_instruction(Instruction::NestedSubquery)
+            .with_instruction(Instruction::NumPredicates(2));
+        for _ in 0..8 {
+            let template = Template::new(synthesize(&context, path, &spec, &mut rng));
+            assert!(template.to_string().contains(" IN (SELECT "), "{template}");
+            let prepared = PreparedTemplate::prepare(db, &template).expect("prepares");
+            assert!(prepared.recosts_columnar(), "fell back to row-by-row: {template}");
+
+            let space = PlaceholderSpace::build(db, &template);
+            let rows: Vec<HashMap<u32, Value>> = (0..16)
+                .map(|_| {
+                    let point: Vec<f64> = (0..space.arity()).map(|_| rng.gen()).collect();
+                    space.decode(&point)
+                })
+                .collect();
+            let batch = BindingBatch::from_rows(prepared.placeholder_ids(), &rows)
+                .expect("decoded rows bind every placeholder");
+            let mut scratch = RecostScratch::new();
+            let batched = prepared.recost_batch(db, &batch, &mut scratch).expect("recosts");
+            for (row, &(rows_out, cost)) in rows.iter().zip(batched) {
+                let (want_rows, want_cost) = prepared.recost(db, row).expect("recosts");
+                assert_eq!(rows_out.to_bits(), want_rows.to_bits(), "{template}");
+                assert_eq!(cost.to_bits(), want_cost.to_bits(), "{template}");
+            }
+        }
     }
 }
