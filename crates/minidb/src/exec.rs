@@ -20,17 +20,34 @@
 //!
 //! ### Tiers
 //!
-//! * **Columnar** — single-table statements whose `WHERE` conjuncts are
-//!   all simple comparisons/`BETWEEN`s over numeric storage columns and
-//!   whose output phase is count-preserving (no grouping, `HAVING`, or
-//!   `DISTINCT`; projections are wildcard/column/literal; `ORDER BY`
-//!   keys are bare columns). Per row, the planner's access-path choice
-//!   (selectivity arithmetic + seq-vs-index argmin) is replayed from the
-//!   cached skeleton, then binding-dependent filters run as *selection
+//! * **Columnar** — one or two scans, an optional equi-join, and a
+//!   count-only output phase. Admission requires:
+//!   - one binding, or two inner-joined bindings (a `LEFT JOIN`
+//!     demotes) connected by exactly one equi-join edge on `Int`/`Float`
+//!     key columns, with no residual or leftover predicate — so the
+//!     planner always emits `HashJoin(scan, scan)`;
+//!   - every scan filter conjunct a simple comparison/`BETWEEN` of a
+//!     numeric storage column against a placeholder or numeric literal;
+//!   - no `GROUP BY`, `HAVING`, or `DISTINCT`;
+//!   - in *rows mode* (no aggregates) wildcard/column/literal
+//!     projections and bare-column `ORDER BY` keys; in *aggregate mode*
+//!     (a global aggregate) `COUNT(*)`, `COUNT([DISTINCT] col)`,
+//!     `MIN`/`MAX(col)`, or `SUM`/`AVG` over a numeric column, plus
+//!     literals. None of these can fail, and their values never reach
+//!     the cardinality or the work count.
+//!
+//!   Per batch row, each scan replays the planner's access-path choice
+//!   (selectivity arithmetic + seq-vs-index argmin) from the cached
+//!   skeleton, then runs its binding-dependent filters as *selection
 //!   vectors* over the table's column-major storage
 //!   ([`crate::storage::Column::int_view`]/[`float_view`]) in chunked,
-//!   autovectorization-friendly lane loops — no row materialization, no
-//!   `Value` clones, no allocation on the warm path.
+//!   autovectorization-friendly lane loops. A scan without placeholders
+//!   computes its selection once at prepare time. The join counts
+//!   matches instead of building rows: every storage row's key gets a
+//!   dense `u32` id at prepare time (through [`executor::hash_key`], the
+//!   executor's own key equality), and matches are the sum, over one
+//!   side's selection, of the other side's per-key row counts. No row
+//!   materialization, no `Value` clones, no allocation on the warm path.
 //! * **Hoisted** — everything else without placeholder-bearing
 //!   subqueries. Uncorrelated subquery results are executed **once** at
 //!   prepare time and injected into every per-row execution (the scalar
@@ -43,11 +60,22 @@
 //! ### Work accounting
 //!
 //! The columnar tier never runs the row executor, so it must *account*
-//! for the work units the executor would have charged: rows scanned
-//! (all rows for a seq scan, the index-probe slice for an index scan),
-//! plus the output phase's sort and projection charges on the filtered
-//! row count. The replayed access-path argmin guarantees the tier
-//! charges the same scan the executor would have run.
+//! for the work units the executor would have charged. With `cand` the
+//! rows a scan visits (all rows for a seq scan, the index-probe slice
+//! for an index scan), `sel` the rows passing its filter, and `m` the
+//! join's matches:
+//!
+//! * one scan, rows mode: `cand + [ORDER BY] sel + sel`, cardinality
+//!   `min(sel, LIMIT)`;
+//! * two scans, rows mode: `cand_L + cand_R + sel_L + sel_R + m +
+//!   [ORDER BY] m + m`, cardinality `min(m, LIMIT)`;
+//! * aggregate mode: the scan/join charges above, then `n` for grouping
+//!   the `n` input rows, `[ORDER BY] 1 + 1` for the single group (an
+//!   empty input still yields one), cardinality `min(1, LIMIT)`.
+//!
+//! Hash-join work is symmetric in its build side, so the planner's join
+//! order never needs replaying; the replayed per-scan argmin guarantees
+//! the tier charges the same scans the executor would have run.
 //!
 //! [`float_view`]: crate::storage::Column::float_view
 
@@ -57,15 +85,20 @@ use crate::error::DbError;
 use crate::estimator::{
     default_for, equality_selectivity, flip, Estimator, DEFAULT_INEQ_SEL,
 };
-use crate::executor;
+use crate::estimator::Scope;
+use crate::executor::{self, HashKey};
 use crate::expr_eval::SubqueryResults;
 use crate::planner;
 use crate::prepared::BindingBatch;
-use crate::stats::ColumnStats;
+use crate::stats::{ColumnStats, TableStats};
 use crate::storage::{DataType, Table};
-use sqlkit::{BinaryOp, Expr, Select, Template, Value};
+use sqlkit::{BinaryOp, ColumnRef, Expr, JoinKind, Select, Template, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+
+/// Most scans a columnar-tier template joins: one, or two under a
+/// single equi-join edge.
+const MAX_SCANS: usize = 2;
 
 /// Lane width of the chunked predicate kernels. 64 boolean lanes fit in
 /// a cache line and give the compiler a fixed-trip-count inner loop to
@@ -84,10 +117,15 @@ pub type ExecRowResult = Result<(f64, f64), DbError>;
 pub struct ExecScratch {
     /// Per-row `(cardinality, work_micros)` or error — the return slice.
     results: Vec<ExecRowResult>,
-    /// Selection vector: storage row ids passing the conjuncts so far.
-    selection: Vec<u32>,
-    /// Flat column-major selectivity buffer: conjunct `c`, row `r` lives
-    /// at `c * batch_len + r` (mirrors `RecostScratch::sels`).
+    /// Per-scan selection vectors: storage row ids passing the scan's
+    /// conjuncts so far.
+    selections: [Vec<u32>; MAX_SCANS],
+    /// Per-key row counts of a join's build side. All zero between
+    /// rows: the probe resets exactly the entries it touched.
+    counts: Vec<u32>,
+    /// Flat column-major selectivity buffer: conjunct `c` (numbered
+    /// across all scans), row `r` lives at `c * batch_len + r` (mirrors
+    /// `RecostScratch::sels`).
     sels: Vec<f64>,
     /// Rows routed to the scalar fallback (non-numeric bound values).
     fallback: Vec<bool>,
@@ -153,19 +191,50 @@ struct Tier1Conjunct {
     kind: Tier1Kind,
 }
 
-/// The columnar tier's cached skeleton: everything `Database::execute`
-/// derives from the statement alone, hoisted out of the per-row loop.
+/// One scanned binding of a columnar-tier template.
 #[derive(Debug, Clone)]
-struct Tier1 {
+struct Tier1Scan {
     table: String,
     base_rows: f64,
     width: f64,
     /// `count_leaves` of the conjoined filter (0 when unfiltered).
     quals: usize,
+    conjuncts: Vec<Tier1Conjunct>,
+    /// Number of this scan's first conjunct across all scans (its row
+    /// block in `ExecScratch::sels`/`has_index`).
+    first_conj: usize,
+    /// `(candidates, selection)` computed once at prepare time when no
+    /// conjunct holds a placeholder: the scan is the same on every row.
+    fixed: Option<(usize, Vec<u32>)>,
+}
+
+/// The equi-join of a two-scan columnar template, reduced to counting.
+#[derive(Debug, Clone)]
+struct Tier1Join {
+    /// Per scan, the dense key id of every storage row's join key:
+    /// equal ids exactly when [`executor::hash_key`] is equal. A NULL
+    /// key gets id `n_keys`, whose count is always zero — NULLs never
+    /// join.
+    keys: [Vec<u32>; MAX_SCANS],
+    /// Distinct non-NULL keys over both scans.
+    n_keys: usize,
+    /// Per scan with a fixed selection, its per-key row counts.
+    fixed_counts: [Option<Vec<u32>>; MAX_SCANS],
+}
+
+/// The columnar tier's cached skeleton: everything `Database::execute`
+/// derives from the statement alone, hoisted out of the per-row loop.
+#[derive(Debug, Clone)]
+struct Tier1 {
+    /// One scan, or two under `join`.
+    scans: Vec<Tier1Scan>,
+    join: Option<Tier1Join>,
+    /// Global-aggregate output (one group) rather than one record per
+    /// input row.
+    aggregate: bool,
     limit: Option<u64>,
     /// `ORDER BY` charges one work unit per sorted record.
     charge_order_by: bool,
-    conjuncts: Vec<Tier1Conjunct>,
 }
 
 /// The hoisted tier: uncorrelated subquery results (and the work units
@@ -395,58 +464,113 @@ impl Tier1 {
     /// count-exactly; the caller then demotes to the hoisted tier.
     fn try_prepare(db: &Database, select: &Select) -> Option<Tier1> {
         let scope = planner::build_scope(db, select).ok()?;
-        if scope.bindings.len() != 1 {
-            return None;
-        }
-        if planner::count_aggregates(select) > 0
+        if scope.bindings.len() > MAX_SCANS
+            || select.joins.iter().any(|j| j.kind == JoinKind::Left)
             || !select.group_by.is_empty()
             || select.having.is_some()
             || select.distinct
         {
             return None;
         }
-        // The output phase must be count-preserving and error-free for
-        // any numeric/null binding: wildcard/column/literal projections
-        // and bare-column sort keys cannot fail evaluation.
+        // The output phase must be error-free for any numeric/null
+        // binding, and its values must not reach the counts: rows mode
+        // takes wildcard/column/literal projections and bare-column sort
+        // keys, aggregate mode infallible aggregate calls.
+        let aggregate = planner::count_aggregates(select) > 0;
+        let resolves = |c: &ColumnRef| scope.resolve(db, c).is_ok();
         for item in &select.projections {
-            match &item.expr {
-                Expr::Wildcard | Expr::Column(_) | Expr::Literal(_) => {}
-                _ => return None,
-            }
-        }
-        for item in &select.order_by {
-            if !matches!(item.expr, Expr::Column(_)) {
+            let admitted = match &item.expr {
+                Expr::Literal(_) => true,
+                Expr::Wildcard => !aggregate,
+                Expr::Column(c) => !aggregate && resolves(c),
+                other => aggregate && infallible_aggregate(db, &scope, other),
+            };
+            if !admitted {
                 return None;
             }
         }
+        for item in &select.order_by {
+            let admitted = match &item.expr {
+                Expr::Column(c) => !aggregate && resolves(c),
+                other => aggregate && infallible_aggregate(db, &scope, other),
+            };
+            if !admitted {
+                return None;
+            }
+        }
+        // One scan, or two under exactly one equi edge and nothing else:
+        // the planner then emits `HashJoin(scan, scan)` with no residual
+        // and no leftover filter.
         let (scan_filters, edges, residuals) =
             planner::classify_predicates(db, select, &scope).ok()?;
-        if !edges.is_empty() || !residuals.is_empty() {
+        if !residuals.is_empty() || edges.len() + 1 != scope.bindings.len() {
             return None;
         }
 
-        let table_name = &scope.bindings[0].1;
-        let table = db.table(table_name).ok()?;
-        let stats = db.stats(table_name).ok()?;
         let estimator = Estimator::new(db, &scope);
-
-        let mut conjuncts = Vec::with_capacity(scan_filters[0].len());
-        for expr in &scan_filters[0] {
-            conjuncts.push(kernelable(db, table_name, table, &estimator, expr)?);
+        let mut scans = Vec::with_capacity(scope.bindings.len());
+        let mut first_conj = 0;
+        for (s, filters) in scan_filters.iter().enumerate() {
+            let table_name = &scope.bindings[s].1;
+            let table = db.table(table_name).ok()?;
+            let stats = db.stats(table_name).ok()?;
+            let conjuncts = filters
+                .iter()
+                .map(|expr| kernelable(db, table_name, table, &estimator, expr))
+                .collect::<Option<Vec<_>>>()?;
+            let quals = if conjuncts.is_empty() {
+                0
+            } else {
+                conjuncts.iter().map(|c| c.raw_leaves).sum::<usize>().max(1)
+            };
+            let mut scan = Tier1Scan {
+                table: table_name.clone(),
+                base_rows: stats.row_count as f64,
+                width: table.row_width() as f64,
+                quals,
+                first_conj,
+                conjuncts,
+                fixed: None,
+            };
+            first_conj += scan.conjuncts.len();
+            if scan.conjuncts.iter().all(|c| c.cached_sel.is_some()) {
+                // Every value is a literal: the access path and the
+                // selection are the same on every row. Placeholder-free
+                // conjuncts carry their own probe decision, so no index
+                // flags are needed.
+                let no_bindings = BindingBatch::default();
+                let mut selection = Vec::new();
+                let candidates = scan.select(
+                    db,
+                    table,
+                    |c| scan.conjuncts[c].cached_sel.expect("placeholder-free"),
+                    &[],
+                    &no_bindings,
+                    0,
+                    &mut selection,
+                );
+                scan.fixed = Some((candidates, selection));
+            }
+            scans.push(scan);
         }
-        let quals = if conjuncts.is_empty() {
-            0
-        } else {
-            conjuncts.iter().map(|c| c.raw_leaves).sum::<usize>().max(1)
+        let join = match edges.first() {
+            None => None,
+            Some(edge) => Some(Tier1Join::prepare(
+                db,
+                &scope,
+                &scans,
+                [
+                    (edge.left_binding, &edge.left_column),
+                    (edge.right_binding, &edge.right_column),
+                ],
+            )?),
         };
         Some(Tier1 {
-            table: table_name.clone(),
-            base_rows: stats.row_count as f64,
-            width: table.row_width() as f64,
-            quals,
+            scans,
+            join,
+            aggregate,
             limit: select.limit,
             charge_order_by: !select.order_by.is_empty(),
-            conjuncts,
         })
     }
 
@@ -458,33 +582,36 @@ impl Tier1 {
         scratch: &mut ExecScratch,
     ) {
         let n = batch.len();
-        let (Ok(table), Ok(stats_table)) =
-            (db.table(&self.table), db.stats(&self.table))
-        else {
-            // Unreachable for a database the template prepared against;
-            // reproduce whatever the scalar path reports.
-            for row in 0..n {
-                let result = scalar_row(
-                    db,
-                    &exec.template,
-                    batch,
-                    row,
-                    &mut scratch.row_bindings,
-                );
-                scratch.results.push(result);
-            }
-            return;
-        };
-        let model = db.cost_model();
-        let n_rows = table.row_count();
-        let n_conj = self.conjuncts.len();
+        let mut tables: [Option<(&Table, &TableStats)>; MAX_SCANS] = [None; MAX_SCANS];
+        for (slot, scan) in tables.iter_mut().zip(&self.scans) {
+            let (Ok(table), Ok(stats)) = (db.table(&scan.table), db.stats(&scan.table))
+            else {
+                // Unreachable for a database the template prepared
+                // against; reproduce whatever the scalar path reports.
+                for row in 0..n {
+                    let result = scalar_row(
+                        db,
+                        &exec.template,
+                        batch,
+                        row,
+                        &mut scratch.row_bindings,
+                    );
+                    scratch.results.push(result);
+                }
+                return;
+            };
+            *slot = Some((table, stats));
+        }
+        let n_conj: usize = self.scans.iter().map(|s| s.conjuncts.len()).sum();
 
         // ---- per-batch resolution -----------------------------------
         scratch.has_index.clear();
-        for conjunct in &self.conjuncts {
-            scratch
-                .has_index
-                .push(db.index_on(&self.table, &conjunct.name).is_some());
+        for scan in &self.scans {
+            for conjunct in &scan.conjuncts {
+                scratch
+                    .has_index
+                    .push(db.index_on(&scan.table, &conjunct.name).is_some());
+            }
         }
 
         // Rows binding a non-numeric, non-null value fall back to the
@@ -508,24 +635,28 @@ impl Tier1 {
         // the instantiated statement).
         scratch.sels.clear();
         scratch.sels.resize(n_conj * n, 0.0);
-        for (c, conjunct) in self.conjuncts.iter().enumerate() {
-            let out = &mut scratch.sels[c * n..(c + 1) * n];
-            if let Some(sel) = conjunct.cached_sel {
-                out.fill(sel);
-                continue;
-            }
-            let stats = stats_table.columns.get(&conjunct.name);
-            match &conjunct.kind {
-                Tier1Kind::Cmp { op, value } => {
-                    fill_cmp_sels(stats, *op, value, batch, out);
+        for (scan, tables) in self.scans.iter().zip(&tables) {
+            let Some((_, stats_table)) = tables else { continue };
+            for (c, conjunct) in scan.conjuncts.iter().enumerate() {
+                let g = scan.first_conj + c;
+                let out = &mut scratch.sels[g * n..(g + 1) * n];
+                if let Some(sel) = conjunct.cached_sel {
+                    out.fill(sel);
+                    continue;
                 }
-                Tier1Kind::Between { negated, low, high } => {
-                    fill_between_sels(stats, *negated, low, high, batch, out);
+                let stats = stats_table.columns.get(&conjunct.name);
+                match &conjunct.kind {
+                    Tier1Kind::Cmp { op, value } => {
+                        fill_cmp_sels(stats, *op, value, batch, out);
+                    }
+                    Tier1Kind::Between { negated, low, high } => {
+                        fill_between_sels(stats, *negated, low, high, batch, out);
+                    }
                 }
             }
         }
 
-        // ---- phase B: per-row access-path replay + selection --------
+        // ---- phase B: per-row scans, join count, output charges -----
         for row in 0..n {
             if scratch.fallback[row] {
                 let result = scalar_row(
@@ -539,111 +670,265 @@ impl Tier1 {
                 continue;
             }
 
-            // Replay the planner's seq-vs-index argmin on the cached
-            // skeleton: same operands, same order, strict `<` keeps the
-            // first winner on ties — so the charged scan is exactly the
-            // one the executor would have run.
-            let mut selectivity = 1.0;
-            for c in 0..n_conj {
-                selectivity *= scratch.sels[c * n + row];
-            }
-            let out_rows = self.base_rows * selectivity;
-            let mut best_cost =
-                model.seq_scan(self.base_rows, self.width, self.quals, out_rows);
-            let mut winner: Option<usize> = None;
-            for (c, conjunct) in self.conjuncts.iter().enumerate() {
-                let probes = match conjunct.static_probe {
-                    Some(fixed) => fixed,
-                    None => {
-                        scratch.has_index[c]
-                            && match &conjunct.kind {
-                                Tier1Kind::Cmp { op, value } => {
-                                    *op != BinaryOp::NotEq
-                                        && value
-                                            .resolve(batch, row)
-                                            .as_f64()
-                                            .is_some()
-                                }
-                                Tier1Kind::Between { negated, low, high } => {
-                                    !*negated
-                                        && low.resolve(batch, row).as_f64().is_some()
-                                        && high.resolve(batch, row).as_f64().is_some()
-                                }
-                            }
-                    }
-                };
-                if !probes {
+            let mut candidates = 0u64;
+            for ((scan, tables), selection) in
+                self.scans.iter().zip(&tables).zip(&mut scratch.selections)
+            {
+                if let Some((fixed, _)) = &scan.fixed {
+                    candidates += *fixed as u64;
                     continue;
                 }
-                let match_rows = self.base_rows * scratch.sels[c * n + row];
-                let index_cost = model.index_scan(
-                    self.base_rows,
-                    self.width,
-                    match_rows,
-                    self.quals,
-                    out_rows,
-                );
-                if index_cost < best_cost {
-                    best_cost = index_cost;
-                    winner = Some(c);
-                }
+                let Some((table, _)) = tables else { continue };
+                let sels = &scratch.sels;
+                candidates += scan.select(
+                    db,
+                    table,
+                    |c| sels[(scan.first_conj + c) * n + row],
+                    &scratch.has_index[scan.first_conj..],
+                    batch,
+                    row,
+                    selection,
+                ) as u64;
             }
+            let selected = |s: usize| -> &[u32] {
+                match &self.scans[s].fixed {
+                    Some((_, selection)) => selection,
+                    None => &scratch.selections[s],
+                }
+            };
 
-            // Candidate enumeration + selection-vector filtering.
-            let (candidates, selected) = if n_conj == 0 {
-                (n_rows, n_rows)
+            // Work accounting mirrors `executor`: the scans charge their
+            // candidates, a hash join both inputs plus every match, and
+            // the output phase its input records (grouping), then the
+            // sort (when ordered) and projection of its output records.
+            let (input, join_work) = match &self.join {
+                None => (selected(0).len() as u64, 0),
+                Some(join) => {
+                    let (left, right) = (selected(0), selected(1));
+                    let matches = join.count_matches(left, right, &mut scratch.counts);
+                    (matches, (left.len() + right.len()) as u64 + matches)
+                }
+            };
+            let (output_work, records) = if self.aggregate {
+                // A global aggregate yields exactly one group, even over
+                // an empty input.
+                (input + u64::from(self.charge_order_by) + 1, 1)
             } else {
-                match winner {
-                    None => {
-                        // Sequential scan: the executor visits every row.
-                        let pred =
-                            pred_for(&self.conjuncts[0], table, batch, row);
-                        fill_range_pred(&pred, n_rows, &mut scratch.selection);
-                        for conjunct in &self.conjuncts[1..] {
-                            let pred = pred_for(conjunct, table, batch, row);
-                            retain_pred(&pred, &mut scratch.selection);
-                        }
-                        (n_rows, scratch.selection.len())
-                    }
-                    Some(w) => {
-                        // Index scan: the executor visits the probe
-                        // slice, then re-evaluates the *full* filter on
-                        // every candidate.
-                        let conjunct = &self.conjuncts[w];
-                        let (lo, hi) = probe_bounds(conjunct, batch, row);
-                        let index = db
-                            .index_on(&self.table, &conjunct.name)
-                            .expect("probe decision implies the index exists");
-                        let slice = index.probe_slice(lo, hi);
-                        scratch.selection.clear();
-                        scratch
-                            .selection
-                            .extend(slice.iter().map(|&(_, row_id)| row_id));
-                        for conjunct in &self.conjuncts {
-                            let pred = pred_for(conjunct, table, batch, row);
-                            retain_pred(&pred, &mut scratch.selection);
-                        }
-                        (slice.len(), scratch.selection.len())
-                    }
-                }
+                (input * (1 + u64::from(self.charge_order_by)), input)
             };
-
-            // Work accounting mirrors `executor`: the scan charges its
-            // candidates; the output phase charges the filtered rows
-            // once for the sort (when ordered) and once for projection.
-            let mut work = candidates as u64;
-            if self.charge_order_by {
-                work += selected as u64;
-            }
-            work += selected as u64;
-            let cardinality = match self.limit {
-                Some(limit) => selected.min(limit as usize),
-                None => selected,
-            };
+            let work = candidates + join_work + output_work;
+            let cardinality = self.limit.map_or(records, |limit| records.min(limit));
             scratch
                 .results
                 .push(Ok((cardinality as f64, work as f64 * WORK_UNIT_MICROS)));
         }
+    }
+}
+
+impl Tier1Scan {
+    /// Replay the planner's seq-vs-index argmin for one binding row and
+    /// fill `selection` with the storage rows passing every conjunct;
+    /// returns the candidates the executor's scan visits. `sel(c)` is
+    /// conjunct `c`'s selectivity and `has_index[c]` whether its column
+    /// is indexed.
+    #[allow(clippy::too_many_arguments)]
+    fn select(
+        &self,
+        db: &Database,
+        table: &Table,
+        sel: impl Fn(usize) -> f64,
+        has_index: &[bool],
+        batch: &BindingBatch,
+        row: usize,
+        selection: &mut Vec<u32>,
+    ) -> usize {
+        let n_rows = table.row_count();
+        if self.conjuncts.is_empty() {
+            selection.clear();
+            selection.extend(0..n_rows as u32);
+            return n_rows;
+        }
+
+        // Same operands, same order as the planner, and strict `<`
+        // keeps the first winner on ties — so the charged scan is
+        // exactly the one the executor would have run.
+        let model = db.cost_model();
+        let mut selectivity = 1.0;
+        for c in 0..self.conjuncts.len() {
+            selectivity *= sel(c);
+        }
+        let out_rows = self.base_rows * selectivity;
+        let mut best_cost = model.seq_scan(self.base_rows, self.width, self.quals, out_rows);
+        let mut winner: Option<usize> = None;
+        for (c, conjunct) in self.conjuncts.iter().enumerate() {
+            let probes = match conjunct.static_probe {
+                Some(fixed) => fixed,
+                None => {
+                    has_index[c]
+                        && match &conjunct.kind {
+                            Tier1Kind::Cmp { op, value } => {
+                                *op != BinaryOp::NotEq
+                                    && value.resolve(batch, row).as_f64().is_some()
+                            }
+                            Tier1Kind::Between { negated, low, high } => {
+                                !*negated
+                                    && low.resolve(batch, row).as_f64().is_some()
+                                    && high.resolve(batch, row).as_f64().is_some()
+                            }
+                        }
+                }
+            };
+            if !probes {
+                continue;
+            }
+            let match_rows = self.base_rows * sel(c);
+            let index_cost =
+                model.index_scan(self.base_rows, self.width, match_rows, self.quals, out_rows);
+            if index_cost < best_cost {
+                best_cost = index_cost;
+                winner = Some(c);
+            }
+        }
+
+        match winner {
+            None => {
+                // Sequential scan: the executor visits every row.
+                let pred = pred_for(&self.conjuncts[0], table, batch, row);
+                fill_range_pred(&pred, n_rows, selection);
+                for conjunct in &self.conjuncts[1..] {
+                    let pred = pred_for(conjunct, table, batch, row);
+                    retain_pred(&pred, selection);
+                }
+                n_rows
+            }
+            Some(w) => {
+                // Index scan: the executor visits the probe slice, then
+                // re-evaluates the *full* filter on every candidate.
+                let conjunct = &self.conjuncts[w];
+                let (lo, hi) = probe_bounds(conjunct, batch, row);
+                let index = db
+                    .index_on(&self.table, &conjunct.name)
+                    .expect("probe decision implies the index exists");
+                let slice = index.probe_slice(lo, hi);
+                selection.clear();
+                selection.extend(slice.iter().map(|&(_, row_id)| row_id));
+                for conjunct in &self.conjuncts {
+                    let pred = pred_for(conjunct, table, batch, row);
+                    retain_pred(&pred, selection);
+                }
+                slice.len()
+            }
+        }
+    }
+}
+
+impl Tier1Join {
+    /// Assign every storage row's join key its dense id, and count the
+    /// keys of each fixed scan once. `edge` names each side's binding
+    /// and key column; `None` unless both keys are `Int`/`Float` storage
+    /// columns.
+    fn prepare(
+        db: &Database,
+        scope: &Scope,
+        scans: &[Tier1Scan],
+        edge: [(usize, &ColumnRef); MAX_SCANS],
+    ) -> Option<Tier1Join> {
+        let mut ids: HashMap<HashKey, u32> = HashMap::new();
+        let mut keys: [Vec<u32>; MAX_SCANS] = Default::default();
+        for (binding, column) in edge {
+            let table = db.table(&scope.bindings[binding].1).ok()?;
+            let column = &table.columns[table.column_index(&column.column)?];
+            if !matches!(column.data_type(), DataType::Int | DataType::Float) {
+                return None;
+            }
+            keys[binding] = (0..table.row_count())
+                .map(|row| match executor::hash_key(&column.get(row)) {
+                    HashKey::Null => u32::MAX,
+                    key => {
+                        let next = ids.len() as u32;
+                        *ids.entry(key).or_insert(next)
+                    }
+                })
+                .collect();
+        }
+        let n_keys = ids.len();
+        for id in keys.iter_mut().flatten() {
+            if *id == u32::MAX {
+                *id = n_keys as u32;
+            }
+        }
+        let mut fixed_counts: [Option<Vec<u32>>; MAX_SCANS] = Default::default();
+        for ((counts, scan), keys) in fixed_counts.iter_mut().zip(scans).zip(&keys) {
+            if let Some((_, selection)) = &scan.fixed {
+                let mut per_key = vec![0u32; n_keys + 1];
+                for &row in selection {
+                    per_key[keys[row as usize] as usize] += 1;
+                }
+                per_key[n_keys] = 0;
+                *counts = Some(per_key);
+            }
+        }
+        Some(Tier1Join { keys, n_keys, fixed_counts })
+    }
+
+    /// Join matches of two selections: the pairs `HashJoin` would emit.
+    /// A fixed side's counts are precomputed; otherwise the smaller
+    /// selection is counted into `counts` (all zero on entry and on
+    /// return), the other side probes it, and only the touched entries
+    /// are reset.
+    fn count_matches(&self, left: &[u32], right: &[u32], counts: &mut Vec<u32>) -> u64 {
+        let probe = |per_key: &[u32], keys: &[u32], selection: &[u32]| -> u64 {
+            selection
+                .iter()
+                .map(|&row| u64::from(per_key[keys[row as usize] as usize]))
+                .sum()
+        };
+        let [left_keys, right_keys] = &self.keys;
+        match &self.fixed_counts {
+            [_, Some(per_key)] => probe(per_key, left_keys, left),
+            [Some(per_key), None] => probe(per_key, right_keys, right),
+            [None, None] => {
+                let (build, build_keys, other, other_keys) = if left.len() <= right.len() {
+                    (left, left_keys, right, right_keys)
+                } else {
+                    (right, right_keys, left, left_keys)
+                };
+                if counts.len() <= self.n_keys {
+                    counts.resize(self.n_keys + 1, 0);
+                }
+                for &row in build {
+                    counts[build_keys[row as usize] as usize] += 1;
+                }
+                counts[self.n_keys] = 0;
+                let matches = probe(counts, other_keys, other);
+                for &row in build {
+                    counts[build_keys[row as usize] as usize] = 0;
+                }
+                matches
+            }
+        }
+    }
+}
+
+/// True for an aggregate call that cannot fail on any input and whose
+/// value never reaches the cardinality or the work count: `COUNT(*)`,
+/// `COUNT([DISTINCT] col)`, `MIN`/`MAX(col)`, or `SUM`/`AVG` over a
+/// numeric column. Names must be the executor's exact spelling.
+fn infallible_aggregate(db: &Database, scope: &Scope, expr: &Expr) -> bool {
+    let Expr::Function { name, args, .. } = expr else { return false };
+    let [arg] = args.as_slice() else { return false };
+    let column_type = |c: &ColumnRef| -> Option<DataType> {
+        let binding = scope.resolve(db, c).ok()?;
+        let table = db.table(&scope.bindings[binding].1).ok()?;
+        Some(table.columns[table.column_index(&c.column)?].data_type())
+    };
+    match (name.as_str(), arg) {
+        ("COUNT", Expr::Wildcard) => true,
+        ("COUNT" | "MIN" | "MAX", Expr::Column(c)) => column_type(c).is_some(),
+        ("SUM" | "AVG", Expr::Column(c)) => {
+            matches!(column_type(c), Some(DataType::Int | DataType::Float))
+        }
+        _ => false,
     }
 }
 
@@ -1186,6 +1471,7 @@ mod tests {
 
     #[test]
     fn joins_and_aggregates_take_hoisted_tier() {
+        // GROUP BY is outside the columnar output modes, join or not.
         let db = tpch();
         assert_batch_matches_scalar(
             &db,
@@ -1197,6 +1483,70 @@ mod tests {
             &[
                 vec![(1, Value::Float(1_000.0))],
                 vec![(1, Value::Float(90_000.0))],
+            ],
+        );
+    }
+
+    #[test]
+    fn two_table_equi_joins_take_columnar_tier() {
+        let db = tpch();
+        // Both sides dynamic: counted through the scratch key counts.
+        assert_batch_matches_scalar(
+            &db,
+            "SELECT o.o_orderkey, l.l_quantity FROM orders AS o \
+             JOIN lineitem AS l ON o.o_orderkey = l.l_orderkey \
+             WHERE o.o_totalprice > {p_1} AND l.l_quantity < {p_2} \
+             ORDER BY l.l_quantity LIMIT 50",
+            "columnar",
+            &[
+                vec![(1, Value::Float(1_000.0)), (2, Value::Float(30.0))],
+                vec![(1, Value::Float(150_000.0)), (2, Value::Int(5))],
+                vec![(1, Value::Null), (2, Value::Float(30.0))],
+                vec![(1, Value::Float(1_000.0)), (2, Value::Str("x".into()))],
+            ],
+        );
+        // A static side (no placeholders) and a point-lookup index
+        // winner on the dynamic side.
+        assert_batch_matches_scalar(
+            &db,
+            "SELECT * FROM part AS p JOIN partsupp AS ps ON ps.ps_partkey = p.p_partkey \
+             WHERE p.p_size > 10 AND ps.ps_partkey = {p_1}",
+            "columnar",
+            &[
+                vec![(1, Value::Int(7))],
+                vec![(1, Value::Int(150))],
+                vec![(1, Value::Float(7.0))],
+                vec![(1, Value::Int(-1))],
+            ],
+        );
+    }
+
+    #[test]
+    fn join_key_ids_follow_the_executor_key_equality() {
+        use crate::storage::DataType;
+        let mut ints = Table::new("ints", vec![("k".into(), DataType::Int)]);
+        for k in [Value::Int(0), Value::Int(1), Value::Int(2), Value::Null, Value::Int(1)] {
+            ints.push_row(vec![k]);
+        }
+        let mut floats = Table::new(
+            "floats",
+            vec![("k".into(), DataType::Float), ("v".into(), DataType::Int)],
+        );
+        for (i, k) in [-0.0, 0.0, 1.0, 2.5, 1.0].into_iter().enumerate() {
+            floats.push_row(vec![Value::Float(k), Value::Int(i as i64)]);
+        }
+        floats.push_row(vec![Value::Null, Value::Int(9)]);
+        let mut db = Database::new("keys");
+        db.add_table(ints, None, &[]);
+        db.add_table(floats, None, &["v"]);
+        assert_batch_matches_scalar(
+            &db,
+            "SELECT * FROM ints AS i JOIN floats AS f ON i.k = f.k WHERE f.v >= {p_1}",
+            "columnar",
+            &[
+                vec![(1, Value::Int(0))],
+                vec![(1, Value::Int(2))],
+                vec![(1, Value::Int(9))],
             ],
         );
     }

@@ -224,7 +224,8 @@ fn exec_node(
             *work += (left.rows.len() + right.rows.len()) as u64;
 
             // Build on the right side.
-            let mut table: HashMap<String, Vec<usize>> = HashMap::with_capacity(right.rows.len());
+            let mut table: HashMap<HashKey, Vec<usize>> =
+                HashMap::with_capacity(right.rows.len());
             for (idx, row) in right.rows.iter().enumerate() {
                 let key = &row[right_idx];
                 if key.is_null() {
@@ -318,15 +319,40 @@ fn field_index(schema: &RowSchema, key: &(String, String)) -> Result<usize, DbEr
         .ok_or_else(|| DbError::UnknownColumn(format!("{}.{}", key.0, key.1)))
 }
 
-fn hash_key(v: &Value) -> String {
+/// Hash-equality class of one value: the single definition of key
+/// equality shared by hash joins, grouping, `DISTINCT`,
+/// `COUNT(DISTINCT …)`, and the columnar join kernel in
+/// [`crate::exec`].
+///
+/// Numbers compare by their `f64` value, so `Int(x)` equals
+/// `Float(x as f64)`; `-0.0` and `0.0` stay distinct and every NaN is
+/// one class. Strings, booleans and NULL each form their own classes,
+/// never equal to a number.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum HashKey {
+    /// `f64` bit pattern, NaNs canonicalized.
+    Num(u64),
+    Str(String),
+    Bool(bool),
+    Null,
+}
+
+/// The [`HashKey`] of a value.
+pub(crate) fn hash_key(v: &Value) -> HashKey {
+    let num = |x: f64| HashKey::Num(if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() });
     match v {
-        // Int/Float compare equal cross-type in joins via numeric key.
-        Value::Int(x) => format!("n{}", *x as f64),
-        Value::Float(x) => format!("n{x}"),
-        Value::Str(s) => format!("s{s}"),
-        Value::Bool(b) => format!("b{b}"),
-        Value::Null => "null".into(),
+        Value::Int(x) => num(*x as f64),
+        Value::Float(x) => num(*x),
+        Value::Str(s) => HashKey::Str(s.clone()),
+        Value::Bool(b) => HashKey::Bool(*b),
+        Value::Null => HashKey::Null,
     }
+}
+
+/// Typed key of a value tuple (GROUP BY keys, DISTINCT rows): one
+/// [`HashKey`] per component, so no two different tuples can collide.
+fn tuple_key(values: &[Value]) -> Vec<HashKey> {
+    values.iter().map(hash_key).collect()
 }
 
 // ---- output phase -----------------------------------------------------
@@ -441,11 +467,7 @@ fn output_phase(
     if select.distinct {
         *work += output.len() as u64;
         let mut seen = std::collections::HashSet::new();
-        output.retain(|row| {
-            let key: String =
-                row.iter().map(hash_key).collect::<Vec<_>>().join("\u{1}");
-            seen.insert(key)
-        });
+        output.retain(|row| seen.insert(tuple_key(row)));
     }
 
     if let Some(limit) = select.limit {
@@ -482,7 +504,7 @@ fn group_records(
     }
 
     let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-    let mut group_index: HashMap<String, usize> = HashMap::new();
+    let mut group_index: HashMap<Vec<HashKey>, usize> = HashMap::new();
 
     for row in &rel.rows {
         let context =
@@ -491,8 +513,7 @@ fn group_records(
         for group in &select.group_by {
             key_values.push(context.eval(group)?);
         }
-        let key: String =
-            key_values.iter().map(hash_key).collect::<Vec<_>>().join("\u{1}");
+        let key = tuple_key(&key_values);
         let group_idx = match group_index.get(&key) {
             Some(&idx) => idx,
             None => {
@@ -533,7 +554,7 @@ fn group_records(
 
 /// Streaming aggregate state.
 enum Accumulator {
-    Count { count: i64, distinct: Option<std::collections::HashSet<String>> },
+    Count { count: i64, distinct: Option<std::collections::HashSet<HashKey>> },
     Sum { int: i64, float: f64, any_float: bool, seen: bool },
     Avg { sum: f64, count: i64 },
     Min(Option<Value>),
@@ -657,5 +678,99 @@ impl Accumulator {
             }
             Accumulator::Min(v) | Accumulator::Max(v) => v.unwrap_or(Value::Null),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::storage::{DataType, Table};
+
+    #[test]
+    fn numbers_key_by_f64_value() {
+        assert_eq!(hash_key(&Value::Int(1)), hash_key(&Value::Float(1.0)));
+        assert_eq!(hash_key(&Value::Int(0)), hash_key(&Value::Float(0.0)));
+        assert_ne!(hash_key(&Value::Int(1)), hash_key(&Value::Float(1.5)));
+        // Integers past 2^53 share a class exactly when their `f64`s do.
+        assert_eq!(
+            hash_key(&Value::Int(i64::MAX)),
+            hash_key(&Value::Int(i64::MAX - 1))
+        );
+        assert_ne!(hash_key(&Value::Int(1 << 53)), hash_key(&Value::Int((1 << 53) - 1)));
+    }
+
+    #[test]
+    fn signed_zeros_differ_and_nans_are_one_class() {
+        assert_ne!(hash_key(&Value::Float(-0.0)), hash_key(&Value::Float(0.0)));
+        assert_ne!(hash_key(&Value::Int(0)), hash_key(&Value::Float(-0.0)));
+        let payload_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert!(payload_nan.is_nan());
+        for nan in [-f64::NAN, payload_nan] {
+            assert_eq!(hash_key(&Value::Float(nan)), hash_key(&Value::Float(f64::NAN)));
+        }
+        assert_ne!(hash_key(&Value::Float(f64::NAN)), hash_key(&Value::Float(f64::INFINITY)));
+    }
+
+    #[test]
+    fn strings_bools_and_null_never_equal_numbers() {
+        assert_eq!(hash_key(&Value::Str("a".into())), hash_key(&Value::Str("a".into())));
+        assert_ne!(hash_key(&Value::Str("1".into())), hash_key(&Value::Int(1)));
+        assert_ne!(hash_key(&Value::Bool(true)), hash_key(&Value::Int(1)));
+        assert_ne!(hash_key(&Value::Bool(true)), hash_key(&Value::Str("true".into())));
+        assert_eq!(hash_key(&Value::Null), hash_key(&Value::Null));
+        assert_ne!(hash_key(&Value::Null), hash_key(&Value::Int(0)));
+        assert_ne!(hash_key(&Value::Null), hash_key(&Value::Str("null".into())));
+    }
+
+    /// Two string tuples whose components, joined with a separator,
+    /// spell the same text.
+    fn separator_db() -> Database {
+        let mut pairs = Table::new(
+            "pairs",
+            vec![("a".into(), DataType::Str), ("b".into(), DataType::Str)],
+        );
+        pairs.push_row(vec![Value::Str("a\u{1}sb".into()), Value::Str("c".into())]);
+        pairs.push_row(vec![Value::Str("a".into()), Value::Str("b\u{1}sc".into())]);
+        let mut db = Database::new("separator");
+        db.add_table(pairs, None, &[]);
+        db
+    }
+
+    #[test]
+    fn distinct_tuples_with_separator_text_stay_distinct() {
+        let db = separator_db();
+        let rows = db.execute_sql("SELECT DISTINCT p.a, p.b FROM pairs AS p").unwrap();
+        assert_eq!(rows.cardinality(), 2);
+    }
+
+    #[test]
+    fn group_keys_with_separator_text_stay_separate_groups() {
+        let db = separator_db();
+        let rows = db
+            .execute_sql("SELECT p.a, p.b, COUNT(*) FROM pairs AS p GROUP BY p.a, p.b")
+            .unwrap();
+        assert_eq!(rows.cardinality(), 2);
+    }
+
+    #[test]
+    fn hash_join_matches_int_and_float_keys_by_value() {
+        let mut ints = Table::new("ints", vec![("k".into(), DataType::Int)]);
+        for k in [Value::Int(0), Value::Int(1), Value::Int(2), Value::Null] {
+            ints.push_row(vec![k]);
+        }
+        let mut floats = Table::new("floats", vec![("k".into(), DataType::Float)]);
+        for k in [-0.0, 1.0, 1.0, 2.5, f64::NAN] {
+            floats.push_row(vec![Value::Float(k)]);
+        }
+        floats.push_row(vec![Value::Null]);
+        let mut db = Database::new("keys");
+        db.add_table(ints, None, &[]);
+        db.add_table(floats, None, &[]);
+        // Int 1 meets both Float 1.0 rows; Int 0 misses -0.0; NULLs and
+        // NaN never join.
+        let rows = db
+            .execute_sql("SELECT * FROM ints AS i JOIN floats AS f ON i.k = f.k")
+            .unwrap();
+        assert_eq!(rows.cardinality(), 2);
     }
 }

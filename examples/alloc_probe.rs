@@ -12,9 +12,10 @@
 //! demonstrates bounded memory at N = 1M (nothing proportional to the
 //! workload is retained); `--exec-batch 256` measures the vectorized
 //! executor (`PreparedExec::execute_batch`) warm path with a reused
-//! [`ExecScratch`], asserting 0.000 allocs/probe in release builds
-//! (debug builds run the per-row scalar cross-check, which allocates
-//! by design); `--surrogate` measures the random-forest surrogate,
+//! [`ExecScratch`] on a single-table template, a two-table equi-join,
+//! and a global aggregate over a join, asserting < 0.0005 allocs/probe
+//! in release builds (debug builds run the per-row scalar cross-check,
+//! which allocates by design); `--surrogate` measures the random-forest surrogate,
 //! asserting 0 allocations per warm `RandomForest::predict` and that
 //! `RandomForest::fit` allocates per tree and per feature, never per
 //! node.
@@ -127,37 +128,20 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok());
     if let Some(batch_size) = exec_batch_size {
-        let template = sqlkit::parse_template(
+        for sql in [
             "SELECT l.l_orderkey FROM lineitem AS l \
              WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
-        )
-        .unwrap();
-        let exec = minidb::PreparedExec::prepare(&db, &template);
-        assert_eq!(exec.tier(), "columnar", "probe template must take the kernel tier");
-        let rows: Vec<std::collections::HashMap<u32, sqlkit::Value>> = (0..batch_size)
-            .map(|i| {
-                [
-                    (1u32, sqlkit::Value::Int((i % 50) as i64)),
-                    (2u32, sqlkit::Value::Float(900.0 + i as f64 * 37.0)),
-                ]
-                .into_iter()
-                .collect()
-            })
-            .collect();
-        let batch = minidb::BindingBatch::from_rows(&[1, 2], &rows).unwrap();
-        let mut scratch = minidb::ExecScratch::new();
-        // Warm call: grows the selection vectors and result arena.
-        exec.execute_batch(&db, &batch, &mut scratch).unwrap();
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..ROUNDS {
-            let results = exec.execute_batch(&db, &batch, &mut scratch).unwrap();
-            assert_eq!(results.len(), batch.len());
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        let per = (after - before) as f64 / (ROUNDS * batch.len() as u64) as f64;
-        println!("allocs per warm exec-batch probe (batch {}): {per:.3}", batch.len());
-        if cfg!(not(debug_assertions)) {
-            assert!(per < 0.0005, "warm exec-batch loop allocated {per:.5}/probe");
+            // Two-table equi-join, both sides filtered: the join counts
+            // through the scratch key counts.
+            "SELECT o.o_orderkey FROM orders AS o JOIN lineitem AS l \
+             ON o.o_orderkey = l.l_orderkey \
+             WHERE l.l_quantity > {p_1} AND o.o_totalprice <= {p_2}",
+            // Global aggregate over a join with a static side.
+            "SELECT COUNT(*), MIN(ps.ps_supplycost) FROM partsupp AS ps \
+             JOIN part AS p ON ps.ps_partkey = p.p_partkey \
+             WHERE ps.ps_availqty > {p_1} AND ps.ps_supplycost <= {p_2}",
+        ] {
+            exec_batch_probe(&db, sql, batch_size);
         }
     }
 
@@ -182,6 +166,41 @@ fn main() {
         ] {
             amplify_probe(&db, &oracle, sql);
         }
+    }
+}
+
+/// One `--exec-batch` template: warm the scratch with one batch, then
+/// count allocations per probe over further batches of the same rows.
+fn exec_batch_probe(db: &minidb::Database, sql: &str, batch_size: usize) {
+    const ROUNDS: u64 = 100;
+    let template = sqlkit::parse_template(sql).unwrap();
+    let exec = minidb::PreparedExec::prepare(db, &template);
+    assert_eq!(exec.tier(), "columnar", "probe template must take the kernel tier: {sql}");
+    let rows: Vec<std::collections::HashMap<u32, sqlkit::Value>> = (0..batch_size)
+        .map(|i| {
+            [
+                (1u32, sqlkit::Value::Int((i % 50) as i64)),
+                (2u32, sqlkit::Value::Float(900.0 + i as f64 * 37.0)),
+            ]
+            .into_iter()
+            .collect()
+        })
+        .collect();
+    let batch = minidb::BindingBatch::from_rows(&[1, 2], &rows).unwrap();
+    let mut scratch = minidb::ExecScratch::new();
+    // Warm call: grows the selection vectors, key counts and result arena.
+    exec.execute_batch(db, &batch, &mut scratch).unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..ROUNDS {
+        let results = exec.execute_batch(db, &batch, &mut scratch).unwrap();
+        assert_eq!(results.len(), batch.len());
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    let per = (after - before) as f64 / (ROUNDS * batch.len() as u64) as f64;
+    let shape = sql.split(" WHERE ").next().unwrap_or(sql);
+    println!("allocs per warm exec-batch probe (batch {}): {per:.3}  [{shape}]", batch.len());
+    if cfg!(not(debug_assertions)) {
+        assert!(per < 0.0005, "warm exec-batch loop allocated {per:.5}/probe: {sql}");
     }
 }
 
